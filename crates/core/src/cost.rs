@@ -12,9 +12,14 @@
 //! skipped), which is exactly why mapping quality matters.
 //!
 //! [`IncrementalCost`] maintains the per-resource loads under task moves
-//! and swaps in O(degree) per operation — the delta evaluation that makes
-//! the local-search baselines (hill climbing, simulated annealing)
-//! competitive in evaluation count with MaTCH.
+//! and swaps with an O(degree) delta per operation — the delta evaluation
+//! that makes the local-search baselines (hill climbing, simulated
+//! annealing) competitive in evaluation count with MaTCH. A max
+//! tournament tree over the loads keeps Eq. 2 current:
+//! [`IncrementalCost::cost`] reads its root in O(1), and a peek costs the
+//! delta plus a max over the touched resources (the moved tasks'
+//! resources and their neighbours'), falling back to an O(n) fold only
+//! when the busiest resource itself is touched.
 
 use crate::problem::MappingInstance;
 
@@ -67,8 +72,7 @@ pub fn exec_time(inst: &MappingInstance, assign: &[usize]) -> f64 {
     // One pass without materialising the load vector would double-count
     // communication bookkeeping; with n ≤ a few hundred the vector is
     // cheap and keeps the code identical to Eq. 1.
-    let loads = exec_per_resource(inst, assign);
-    loads.into_iter().fold(0.0, f64::max)
+    makespan(&exec_per_resource(inst, assign))
 }
 
 /// [`exec_time`] writing the Eq. 1 loads into a caller-owned scratch
@@ -77,7 +81,13 @@ pub fn exec_time(inst: &MappingInstance, assign: &[usize]) -> f64 {
 /// cross-checks — call this with one reused buffer.
 pub fn exec_time_with(inst: &MappingInstance, assign: &[usize], scratch: &mut Vec<f64>) -> f64 {
     exec_per_resource_into(inst, assign, scratch);
-    scratch.iter().copied().fold(0.0, f64::max)
+    makespan(scratch)
+}
+
+/// Eq. 2 over precomputed Eq. 1 loads: the largest, or `0.0` if none is
+/// positive.
+fn makespan(loads: &[f64]) -> f64 {
+    loads.iter().copied().fold(0.0, f64::max)
 }
 
 /// A borrowed view bundling an instance with its cost functions — the
@@ -174,22 +184,53 @@ pub fn apply_swap_delta(
 }
 
 /// Incrementally maintained per-resource loads under task moves.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Beside the loads it keeps a max tournament tree over them, so Eq. 2
+/// is the root. A peek applies the delta to `loads`, takes the max of
+/// the root and the touched resources' loads, reverts the delta, and
+/// then re-syncs only the leaves whose bits the round trip changed
+/// (rounding drift). Every cost it returns is bit-equal to folding
+/// `loads` with `f64::max` from `0.0`.
+#[derive(Debug, Clone)]
 pub struct IncrementalCost<'a> {
     inst: &'a MappingInstance,
     assign: Vec<usize>,
     loads: Vec<f64>,
+    /// Max tournament tree: leaf `s` at `width + s`, node `i` holds the
+    /// max of nodes `2i` and `2i + 1`, padding leaves hold `-∞`. Leaves
+    /// equal `loads` bit for bit between operations.
+    tree: Vec<f64>,
+    /// A resource whose load equals the root.
+    max_at: usize,
+}
+
+/// Two instances are equal when their loads and assignments are; the
+/// tree and the argmax are caches derived from the loads.
+impl PartialEq for IncrementalCost<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.inst == other.inst && self.assign == other.assign && self.loads == other.loads
+    }
 }
 
 impl<'a> IncrementalCost<'a> {
     /// Initialise from an assignment.
     pub fn new(inst: &'a MappingInstance, assign: Vec<usize>) -> Self {
         let loads = exec_per_resource(inst, &assign);
-        IncrementalCost {
+        let width = loads.len().next_power_of_two();
+        let mut tree = vec![f64::NEG_INFINITY; 2 * width];
+        tree[width..width + loads.len()].copy_from_slice(&loads);
+        for i in (1..width).rev() {
+            tree[i] = tree[2 * i].max(tree[2 * i + 1]);
+        }
+        let mut inc = IncrementalCost {
             inst,
             assign,
             loads,
-        }
+            tree,
+            max_at: 0,
+        };
+        inc.max_at = inc.argmax();
+        inc
     }
 
     /// Current assignment.
@@ -202,36 +243,124 @@ impl<'a> IncrementalCost<'a> {
         &self.loads
     }
 
-    /// Current makespan (Eq. 2).
+    /// Current makespan (Eq. 2), read from the root in O(1).
     pub fn cost(&self) -> f64 {
-        self.loads.iter().copied().fold(0.0, f64::max)
+        let c = self.tree[1].max(0.0);
+        debug_assert_eq!(c.to_bits(), makespan(&self.loads).to_bits());
+        c
     }
 
     /// Move task `t` to `new_r`, updating loads in O(degree(t)).
     pub fn apply_move(&mut self, t: usize, new_r: usize) {
+        let old_r = self.assign[t];
         apply_move_delta(self.inst, &mut self.assign, &mut self.loads, t, new_r);
+        self.resync(&[t], [old_r, new_r]);
     }
 
     /// Swap the resources of tasks `t1` and `t2` (keeps bijectivity).
     pub fn apply_swap(&mut self, t1: usize, t2: usize) {
+        let (r1, r2) = (self.assign[t1], self.assign[t2]);
         apply_swap_delta(self.inst, &mut self.assign, &mut self.loads, t1, t2);
+        self.resync(&[t1, t2], [r1, r2]);
     }
 
     /// Cost after hypothetically moving `t` to `new_r` (state unchanged).
     pub fn peek_move(&mut self, t: usize, new_r: usize) -> f64 {
         let old_r = self.assign[t];
-        self.apply_move(t, new_r);
-        let c = self.cost();
-        self.apply_move(t, old_r);
+        apply_move_delta(self.inst, &mut self.assign, &mut self.loads, t, new_r);
+        let c = self.touched_cost(&[t], [old_r, new_r]);
+        apply_move_delta(self.inst, &mut self.assign, &mut self.loads, t, old_r);
+        self.resync(&[t], [old_r, new_r]);
         c
     }
 
     /// Cost after hypothetically swapping `t1` and `t2` (state unchanged).
     pub fn peek_swap(&mut self, t1: usize, t2: usize) -> f64 {
-        self.apply_swap(t1, t2);
-        let c = self.cost();
-        self.apply_swap(t1, t2);
+        let (r1, r2) = (self.assign[t1], self.assign[t2]);
+        apply_swap_delta(self.inst, &mut self.assign, &mut self.loads, t1, t2);
+        let c = self.touched_cost(&[t1, t2], [r1, r2]);
+        apply_swap_delta(self.inst, &mut self.assign, &mut self.loads, t1, t2);
+        self.resync(&[t1, t2], [r1, r2]);
         c
+    }
+
+    /// Eq. 2 of `loads` while the tree still holds the loads from before
+    /// a delta that moved `tasks` between the resources `ends`.
+    /// Untouched loads are at most the root, so the max is the root
+    /// widened by the touched loads — unless the root's own resource was
+    /// touched, in which case only the fold knows what replaced it.
+    fn touched_cost(&self, tasks: &[usize], ends: [usize; 2]) -> f64 {
+        let mut c = self.tree[1];
+        let mut argmax_touched = false;
+        for_each_touched(self.inst, &self.assign, tasks, ends, |s| {
+            argmax_touched |= s == self.max_at;
+            c = c.max(self.loads[s]);
+        });
+        let c = if argmax_touched {
+            makespan(&self.loads)
+        } else {
+            c.max(0.0)
+        };
+        debug_assert_eq!(c.to_bits(), makespan(&self.loads).to_bits());
+        c
+    }
+
+    /// Bring the tree back in line with `loads` after a delta that moved
+    /// `tasks` between the resources `ends`: each touched leaf whose bits
+    /// changed is rewritten, and its ancestors re-maxed up to the first
+    /// one that keeps its bits.
+    fn resync(&mut self, tasks: &[usize], ends: [usize; 2]) {
+        let width = self.tree.len() / 2;
+        let (tree, loads) = (&mut self.tree, &self.loads);
+        for_each_touched(self.inst, &self.assign, tasks, ends, |s| {
+            let mut i = width + s;
+            if tree[i].to_bits() == loads[s].to_bits() {
+                return;
+            }
+            tree[i] = loads[s];
+            while i > 1 {
+                i /= 2;
+                let m = tree[2 * i].max(tree[2 * i + 1]);
+                if m.to_bits() == tree[i].to_bits() {
+                    break;
+                }
+                tree[i] = m;
+            }
+        });
+        if self.tree[width + self.max_at].to_bits() != self.tree[1].to_bits() {
+            self.max_at = self.argmax();
+        }
+    }
+
+    /// The leaf the root's value comes from, found by descending through
+    /// the child that holds the parent's bits (the left one on ties).
+    fn argmax(&self) -> usize {
+        let width = self.tree.len() / 2;
+        let mut i = 1;
+        while i < width {
+            i = 2 * i + usize::from(self.tree[2 * i].to_bits() != self.tree[i].to_bits());
+        }
+        i - width
+    }
+}
+
+/// Call `f` on every resource a delta that moved `tasks` between the
+/// resources `ends` touches: the two ends, and the resources of the
+/// tasks' TIG neighbours. Only the moved tasks change resource, and only
+/// between the ends, so `assign` may be read before or after the delta.
+fn for_each_touched(
+    inst: &MappingInstance,
+    assign: &[usize],
+    tasks: &[usize],
+    ends: [usize; 2],
+    mut f: impl FnMut(usize),
+) {
+    f(ends[0]);
+    f(ends[1]);
+    for &t in tasks {
+        for (a, _) in inst.interactions(t) {
+            f(assign[a]);
+        }
     }
 }
 

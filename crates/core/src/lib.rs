@@ -8,7 +8,8 @@
 //! * [`mapping`] — [`Mapping`]: a task→resource assignment vector.
 //! * [`cost`] — the execution-time model: Eq. 1 (per-resource time) and
 //!   Eq. 2 (application makespan), plus O(degree) incremental deltas for
-//!   move/swap neighbourhoods (used by the local-search baselines).
+//!   move/swap neighbourhoods with the makespan kept in a max tree (used
+//!   by the local-search baselines and incremental re-mapping).
 //! * [`matcher`] — [`Matcher`]: the MaTCH algorithm of Figure 5 — CE over
 //!   the GenPerm permutation model with smoothed updates (Eq. 13) and the
 //!   μ-stability stopping rule (Eq. 12); sample evaluation is fanned out

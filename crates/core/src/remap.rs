@@ -11,8 +11,11 @@
 //!    serve warm store uses), so CE skips most of its burn-in.
 //! 2. **Delta refinement on the changed subgraph**: FM-style swap
 //!    passes restricted to the event-touched tasks (and whatever the
-//!    caller adds — typically their TIG neighbours), scored by the
-//!    O(degree) [`IncrementalCost`] kernel.
+//!    caller adds — typically their TIG neighbours), scored by
+//!    [`IncrementalCost`] peeks. Each costs an O(degree) delta plus a
+//!    max over the resources the swap touches; only a swap that touches
+//!    the busiest resource pays an O(n) fold. A pass still peeks every
+//!    partner of every changed task, so it is O(|changed| · n) peeks.
 //!
 //! The objective carries a migration-cost term `μ · |{t : x_t ≠
 //! prior_t}|`: refinement accepts a swap only when Eq. 2 *plus* the
@@ -25,7 +28,10 @@
 //! * an empty `changed` set under [`RemapStrategy::RefineOnly`] returns
 //!   the prior mapping unchanged, with `cost` bit-equal to a fresh
 //!   Eq. 2 evaluation and zero migrations;
-//! * `total == cost + migration_cost` by construction.
+//! * `total == cost + migration_cost` by construction;
+//! * refinement polls the [`StopToken`] once per changed task, and a
+//!   fired token returns the mapping as it stands, with the same fresh
+//!   Eq. 2 cost and exact migration ledger as a finished pass.
 
 use crate::control::StopToken;
 use crate::cost::{exec_time, IncrementalCost};
@@ -188,9 +194,14 @@ pub fn remap_incremental(
             let mut moved: Vec<bool> = (0..n).map(|t| inc.assign()[t] != p[t]).collect();
             let mut moved_count = moved.iter().filter(|&&m| m).count();
             let mut cur_total = inc.cost() + cfg.mu * moved_count as f64;
-            for _pass in 0..cfg.refine_passes {
+            'passes: for _pass in 0..cfg.refine_passes {
                 let mut improved = false;
                 for &t in &changed_set {
+                    // One poll per n − 1 peeks: a deadline or a drain
+                    // lands within one task's scan.
+                    if stop.should_stop() {
+                        break 'passes;
+                    }
                     let mut best: Option<(usize, f64, usize)> = None;
                     for u in 0..n {
                         if u == t {
@@ -284,10 +295,13 @@ fn delta_matrix(prior: &[usize], n: usize) -> StochasticMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::control::StopFlag;
+    use crate::cost::{apply_swap_delta, exec_per_resource};
     use crate::matcher::SamplerMode;
     use match_graph::gen::InstanceGenerator;
+    use match_rngutil::perm::random_permutation;
     use match_telemetry::{Event, MemoryRecorder};
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn instance(n: usize, seed: u64) -> MappingInstance {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -473,5 +487,137 @@ mod tests {
             &mut StdRng::seed_from_u64(14),
         );
         assert!(out.mapping.is_permutation());
+    }
+
+    #[test]
+    fn tripped_stop_returns_the_prior_unrefined() {
+        let inst = instance(10, 15);
+        let cfg = RemapConfig {
+            strategy: RemapStrategy::RefineOnly,
+            ..quick_config()
+        };
+        let prior: Vec<usize> = (0..10).rev().collect();
+        let changed: Vec<usize> = (0..10).collect();
+        let free = remap(
+            &inst,
+            Some(&prior),
+            &changed,
+            &cfg,
+            &mut StdRng::seed_from_u64(16),
+        );
+        assert!(free.evaluations > 0);
+
+        let flag = StopFlag::new();
+        flag.trip();
+        let out = remap_incremental(
+            &inst,
+            Some(&prior),
+            &changed,
+            &cfg,
+            &mut StdRng::seed_from_u64(16),
+            &mut NullRecorder,
+            &StopToken::with_flag(flag),
+        );
+        assert_eq!(out.mapping.as_slice(), &prior[..]);
+        assert_eq!(out.cost.to_bits(), exec_time(&inst, &prior).to_bits());
+        assert_eq!(out.total.to_bits(), out.cost.to_bits());
+        assert_eq!(out.migrated, 0);
+        assert_eq!(out.evaluations, 0);
+    }
+
+    /// The refine loop as it was before [`IncrementalCost`] tracked the
+    /// makespan: flat loads, each peek a swap applied and reverted with
+    /// Eq. 2 read as a linear fold. Returns the mapping and its peeks.
+    fn refine_by_fold(
+        inst: &MappingInstance,
+        prior: &[usize],
+        changed: &[usize],
+        cfg: &RemapConfig,
+    ) -> (Vec<usize>, u64) {
+        let fold = |loads: &[f64]| loads.iter().copied().fold(0.0, f64::max);
+        let n = inst.n_tasks();
+        let mut assign = prior.to_vec();
+        let mut loads = exec_per_resource(inst, &assign);
+        let mut moved = vec![false; n];
+        let mut moved_count = 0usize;
+        let mut cur_total = fold(&loads) + cfg.mu * moved_count as f64;
+        let mut evaluations = 0u64;
+        for _pass in 0..cfg.refine_passes {
+            let mut improved = false;
+            for &t in changed {
+                let mut best: Option<(usize, f64, usize)> = None;
+                for u in 0..n {
+                    if u == t {
+                        continue;
+                    }
+                    apply_swap_delta(inst, &mut assign, &mut loads, t, u);
+                    let new_cost = fold(&loads);
+                    apply_swap_delta(inst, &mut assign, &mut loads, t, u);
+                    evaluations += 1;
+                    let after =
+                        usize::from(assign[u] != prior[t]) + usize::from(assign[t] != prior[u]);
+                    let before = usize::from(moved[t]) + usize::from(moved[u]);
+                    let new_moved = moved_count + after - before;
+                    let new_total = new_cost + cfg.mu * new_moved as f64;
+                    if new_total < best.map_or(cur_total, |(_, bt, _)| bt) {
+                        best = Some((u, new_total, new_moved));
+                    }
+                }
+                if let Some((u, new_total, new_moved)) = best {
+                    apply_swap_delta(inst, &mut assign, &mut loads, t, u);
+                    moved[t] = assign[t] != prior[t];
+                    moved[u] = assign[u] != prior[u];
+                    moved_count = new_moved;
+                    cur_total = new_total;
+                    improved = true;
+                }
+            }
+            if !improved {
+                break;
+            }
+        }
+        (assign, evaluations)
+    }
+
+    #[test]
+    fn refinement_matches_the_linear_fold_loop_bit_for_bit() {
+        let n = 320;
+        let mut rng = StdRng::seed_from_u64(17);
+        let inst =
+            MappingInstance::from_pair(&InstanceGenerator::large_family(n).generate(&mut rng));
+        let prior = random_permutation(n, &mut rng);
+        // A few event sites and their TIG neighbours, as a workload
+        // would report them.
+        let mut changed = Vec::new();
+        for _ in 0..6 {
+            let t = rng.random_range(0..n);
+            changed.push(t);
+            changed.extend(inst.interactions(t).map(|(a, _)| a));
+        }
+        changed.sort_unstable();
+        changed.dedup();
+        for mu in [0.0, 0.5] {
+            let cfg = RemapConfig {
+                strategy: RemapStrategy::RefineOnly,
+                mu,
+                ..quick_config()
+            };
+            let (want, want_evals) = refine_by_fold(&inst, &prior, &changed, &cfg);
+            let out = remap(
+                &inst,
+                Some(&prior),
+                &changed,
+                &cfg,
+                &mut StdRng::seed_from_u64(18),
+            );
+            assert_eq!(out.mapping.as_slice(), &want[..], "mu={mu}");
+            assert_eq!(
+                out.cost.to_bits(),
+                exec_time(&inst, &want).to_bits(),
+                "mu={mu}"
+            );
+            assert_eq!(out.evaluations, want_evals, "mu={mu}");
+            assert_ne!(want, prior, "mu={mu}: refinement should move tasks");
+        }
     }
 }

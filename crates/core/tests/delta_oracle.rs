@@ -9,8 +9,14 @@
 //! weights (the zero-weight limit), and neighbours co-located on one
 //! resource — and check the drifted loads against a fresh evaluation
 //! after every step.
+//!
+//! [`IncrementalCost`] reads Eq. 2 from a max tree instead of folding the
+//! loads. The last tests pin every cost it returns, bit for bit, to the
+//! fold over a plain `loads` vector driven through the same sequence.
 
-use match_core::{apply_move_delta, apply_swap_delta, exec_per_resource, MappingInstance};
+use match_core::{
+    apply_move_delta, apply_swap_delta, exec_per_resource, IncrementalCost, MappingInstance,
+};
 use match_graph::{Graph, ResourceGraph, TaskGraph};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -141,5 +147,139 @@ proptest! {
             prop_assert!((x - y).abs() <= 1e-9 * (1.0 + y.abs()));
         }
         assert_loads_match(&inst, &a, &la, 0);
+    }
+}
+
+/// Eq. 2 as a linear fold over the loads: the oracle for
+/// [`IncrementalCost`].
+fn fold(loads: &[f64]) -> f64 {
+    loads.iter().copied().fold(0.0, f64::max)
+}
+
+/// `n` tasks with a random interaction topology on `m` resources of a
+/// complete platform. With `tied`, every weight is 1, so loads tie
+/// across resources and stay exact integers; otherwise weights are
+/// uneven and the loads drift by rounding.
+fn tracked_instance(rng: &mut StdRng, n: usize, m: usize, tied: bool) -> MappingInstance {
+    let weight = |rng: &mut StdRng, lo: f64, hi: f64| {
+        if tied {
+            1.0
+        } else {
+            rng.random_range(lo..hi)
+        }
+    };
+    let mut tig = Graph::new();
+    for _ in 0..n {
+        tig.add_node(weight(rng, 0.1, 10.0)).unwrap();
+    }
+    for u in 0..n {
+        for v in (u + 1)..n {
+            if rng.random::<f64>() < 0.3 {
+                let w = weight(rng, 0.1, 8.0);
+                tig.add_edge(u, v, w).unwrap();
+            }
+        }
+    }
+    let mut plat = Graph::new();
+    for _ in 0..m {
+        plat.add_node(weight(rng, 0.5, 4.0)).unwrap();
+    }
+    for s in 0..m {
+        for b in (s + 1)..m {
+            let w = weight(rng, 0.2, 3.0);
+            plat.add_edge(s, b, w).unwrap();
+        }
+    }
+    MappingInstance::new(
+        &TaskGraph::new(tig).unwrap(),
+        &ResourceGraph::new(plat).unwrap(),
+    )
+}
+
+/// Drive `steps` random moves, swaps and peeks through an
+/// [`IncrementalCost`] and through plain `assign`/`loads` vectors, and
+/// require every cost, load and assignment to agree bit for bit.
+fn check_against_fold(inst: &MappingInstance, rng: &mut StdRng, steps: usize) {
+    let (n, m) = (inst.n_tasks(), inst.n_resources());
+    let mut assign: Vec<usize> = if n == m {
+        match_rngutil::perm::random_permutation(n, rng)
+    } else {
+        (0..n).map(|_| rng.random_range(0..m)).collect()
+    };
+    let mut loads = exec_per_resource(inst, &assign);
+    let mut inc = IncrementalCost::new(inst, assign.clone());
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for step in 0..steps {
+        let (t1, t2) = (rng.random_range(0..n), rng.random_range(0..n));
+        let r = rng.random_range(0..m);
+        let roll = rng.random::<f64>();
+        if roll < 0.4 {
+            let got = inc.peek_swap(t1, t2);
+            apply_swap_delta(inst, &mut assign, &mut loads, t1, t2);
+            let want = fold(&loads);
+            apply_swap_delta(inst, &mut assign, &mut loads, t1, t2);
+            assert_eq!(got.to_bits(), want.to_bits(), "peek_swap at step {step}");
+        } else if roll < 0.7 {
+            let got = inc.peek_move(t1, r);
+            let old = assign[t1];
+            apply_move_delta(inst, &mut assign, &mut loads, t1, r);
+            let want = fold(&loads);
+            apply_move_delta(inst, &mut assign, &mut loads, t1, old);
+            assert_eq!(got.to_bits(), want.to_bits(), "peek_move at step {step}");
+        } else if roll < 0.85 {
+            inc.apply_swap(t1, t2);
+            apply_swap_delta(inst, &mut assign, &mut loads, t1, t2);
+        } else {
+            inc.apply_move(t1, r);
+            apply_move_delta(inst, &mut assign, &mut loads, t1, r);
+        }
+        assert_eq!(inc.assign(), &assign[..], "assignment at step {step}");
+        assert_eq!(bits(inc.loads()), bits(&loads), "loads at step {step}");
+        assert_eq!(
+            inc.cost().to_bits(),
+            fold(&loads).to_bits(),
+            "cost at step {step}"
+        );
+    }
+}
+
+/// Fixed shapes the random ones may miss: one task, one resource,
+/// resource counts on and off a power of two, square and rectangular,
+/// each with tied and with uneven weights.
+#[test]
+fn incremental_cost_matches_the_fold_on_edge_shapes() {
+    for (n, m) in [
+        (1, 1),
+        (1, 5),
+        (6, 1),
+        (7, 7),
+        (8, 8),
+        (9, 9),
+        (12, 5),
+        (33, 33),
+    ] {
+        for tied in [true, false] {
+            for seed in 0..4 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let inst = tracked_instance(&mut rng, n, m, tied);
+                check_against_fold(&inst, &mut rng, 300);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random shapes and weights: every cost the tree returns is the
+    /// fold's, bit for bit, through long mixed sequences.
+    #[test]
+    fn incremental_cost_matches_the_fold(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.random_range(1..40usize);
+        let m = if rng.random::<f64>() < 0.5 { n } else { rng.random_range(1..40usize) };
+        let tied = rng.random::<f64>() < 0.3;
+        let inst = tracked_instance(&mut rng, n, m, tied);
+        check_against_fold(&inst, &mut rng, 400);
     }
 }
