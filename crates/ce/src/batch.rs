@@ -1,11 +1,11 @@
 //! Flat-buffer batched sampling: the contract behind the fused parallel
 //! sample+evaluate pipeline.
 //!
-//! [`CeModel::sample`](crate::model::CeModel::sample) heap-allocates one
-//! `Vec` per draw, and the driver's classic loop draws all `N` samples on
-//! the driver thread before evaluation starts. At the paper's budget of
-//! `N = 2|V_r|²` GenPerm draws per iteration, sampling rivals evaluation
-//! for wall-clock time and serialises the pipeline.
+//! [`CeModel::sample`] heap-allocates one `Vec` per draw, and
+//! [`minimize_controlled`](crate::driver::minimize_controlled) draws all
+//! `N` samples on the driver thread before evaluation starts. At the
+//! paper's budget of `N = 2|V_r|²` GenPerm draws per iteration, sampling
+//! rivals evaluation for wall-clock time and serialises the pipeline.
 //!
 //! [`FlatSampler`] removes both costs for models whose samples are
 //! fixed-width `usize` rows (the permutation and assignment families):
@@ -20,7 +20,8 @@
 //!   evaluation of the same row.
 //!
 //! The driver entry point is
-//! [`minimize_flat`](crate::driver::minimize_flat).
+//! [`minimize_flat_with`](crate::driver::minimize_flat_with), which
+//! scores each worker's chunk of rows through a [`FlatEvaluator`].
 
 use rand::Rng;
 
@@ -137,9 +138,9 @@ pub trait FlatEvaluator: Sync {
 }
 
 /// Adapter lifting a per-row scoring closure to a [`FlatEvaluator`]
-/// (no batch-level setup, so the chunk call is just a loop). This is
-/// what [`minimize_flat`](crate::driver::minimize_flat) wraps its
-/// closure argument in.
+/// (no batch-level setup, so the chunk call is just a loop) — how a
+/// plain objective such as a penalised Eq. 2 runs through
+/// [`minimize_flat_with`](crate::driver::minimize_flat_with).
 pub struct RowEval<F>(pub F);
 
 impl<F> FlatEvaluator for RowEval<F>

@@ -6,14 +6,18 @@
 //! per-row maxima `μ^i` have been stable for `c` consecutive iterations
 //! (Eq. 12) or the model has degenerated.
 //!
-//! Evaluation is pluggable as a *batch* closure so callers can evaluate
-//! samples in parallel (the `Matcher` in `match-core` plugs in
-//! `match-par`); an observer hook receives the model after each update,
-//! which is how Figure 3's matrix snapshots are collected.
+//! Two drivers run this loop and differ only in how a batch is drawn
+//! and scored: [`minimize_controlled`] samples every [`CeModel`] on the
+//! driver thread and hands the batch to a caller-supplied evaluator;
+//! [`minimize_flat_with`] fuses sampling and scoring of [`FlatSampler`]
+//! rows inside `match-par` workers. Everything after the batch is scored
+//! — the incumbent, the update, telemetry and the stopping rules — is one
+//! private helper both call. An observer hook receives the model after
+//! each update, which is how Figure 3's matrix snapshots are collected.
 
-use crate::batch::{FlatBatch, FlatEvaluator, FlatSampler, RowEval};
+use crate::batch::{FlatBatch, FlatEvaluator, FlatSampler};
 use crate::model::CeModel;
-use match_telemetry::{Event, IterEvent, NullRecorder, PoolEvent, Recorder, Span, SpanEvent};
+use match_telemetry::{Event, IterEvent, PoolEvent, Recorder, Span, SpanEvent};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -152,90 +156,26 @@ pub struct CeOutcome<S> {
     pub telemetry: CeTelemetry,
 }
 
-/// Minimise `score` over samples of `model`, with per-sample evaluation.
-pub fn minimize<M, F>(
-    model: &mut M,
-    config: &CeConfig,
-    rng: &mut StdRng,
-    mut score: F,
-) -> CeOutcome<M::Sample>
-where
-    M: CeModel,
-    M::Sample: Clone,
-    F: FnMut(&M::Sample) -> f64,
-{
-    minimize_with(
-        model,
-        config,
-        rng,
-        |samples| samples.iter().map(&mut score).collect(),
-        |_, _| {},
-    )
-}
-
-/// Minimise with a batch evaluator (enables parallel evaluation) and a
-/// per-iteration observer called after each model update with
-/// `(iteration, &model)`.
-pub fn minimize_with<M, E, O>(
-    model: &mut M,
-    config: &CeConfig,
-    rng: &mut StdRng,
-    mut evaluate: E,
-    observe: O,
-) -> CeOutcome<M::Sample>
-where
-    M: CeModel,
-    M::Sample: Clone,
-    E: FnMut(&[M::Sample]) -> Vec<f64>,
-    O: FnMut(usize, &M),
-{
-    minimize_traced(
-        model,
-        config,
-        rng,
-        |samples, _recorder| evaluate(samples),
-        observe,
-        &mut NullRecorder,
-    )
-}
-
-/// [`minimize_with`] plus live telemetry: per-iteration [`IterEvent`]s
-/// (γ, best, mean, elite size, wall time) and `sample`/`evaluate`/
-/// `update` spans go to `recorder`. The batch evaluator receives the
-/// recorder so it can attach its own events (e.g. `match-par` chunk
-/// timings) to the same stream.
+/// Minimise over samples of `model` with a batch evaluator (which may
+/// fan out in parallel), a per-iteration observer called after each
+/// model update with `(iteration, &model)`, live telemetry, and
+/// cooperative cancellation.
 ///
-/// With a [`NullRecorder`] this is exactly `minimize_with`: event
-/// construction and clock reads are skipped when
-/// [`Recorder::enabled`] is `false`.
-pub fn minimize_traced<M, E, O>(
-    model: &mut M,
-    config: &CeConfig,
-    rng: &mut StdRng,
-    evaluate: E,
-    observe: O,
-    recorder: &mut dyn Recorder,
-) -> CeOutcome<M::Sample>
-where
-    M: CeModel,
-    M::Sample: Clone,
-    E: FnMut(&[M::Sample], &mut dyn Recorder) -> Vec<f64>,
-    O: FnMut(usize, &M),
-{
-    minimize_controlled(model, config, rng, evaluate, observe, recorder, &|| false)
-}
-
-/// [`minimize_traced`] with cooperative cancellation: `should_stop` is
-/// polled once per iteration (after the incumbent update, so at least
-/// one iteration always completes and the outcome always holds a valid
-/// best sample). When it fires the loop exits with
-/// [`StopReason::Cancelled`].
+/// Telemetry: per-iteration [`IterEvent`]s (γ, best, mean, elite size,
+/// wall time) and `sample`/`evaluate`/`update` spans go to `recorder`.
+/// The evaluator receives the recorder so it can attach its own events
+/// (e.g. `match-par` chunk timings) to the same stream. With a disabled
+/// recorder, event construction and clock reads are skipped.
 ///
-/// The predicate is a plain closure rather than a token type so this
-/// crate stays independent of `match-core` (which depends on it);
-/// callers thread `StopToken::should_stop` through here. Polling must
-/// not consume randomness — an uncancelled run follows exactly the
-/// same RNG trajectory as [`minimize_traced`].
+/// Cancellation: `should_stop` is polled once per iteration, after the
+/// incumbent update, so at least one iteration always completes and the
+/// outcome always holds a valid best sample. When it fires the loop
+/// exits with [`StopReason::Cancelled`]. The predicate is a plain
+/// closure rather than a token type so this crate stays independent of
+/// `match-core` (which depends on it); callers thread
+/// `StopToken::should_stop` through here. Polling consumes no
+/// randomness, so an uncancelled run follows the same RNG trajectory
+/// whatever the predicate.
 #[allow(clippy::too_many_arguments)]
 pub fn minimize_controlled<M, E, O>(
     model: &mut M,
@@ -252,26 +192,12 @@ where
     E: FnMut(&[M::Sample], &mut dyn Recorder) -> Vec<f64>,
     O: FnMut(usize, &M),
 {
-    config.validate();
+    let mut run = Tracker::new(config);
     let traced = recorder.enabled();
     let n = config.sample_size;
-    let elite_target = ((config.rho * n as f64).floor() as usize).max(1);
-
-    let mut best_sample: Option<M::Sample> = None;
-    let mut best_cost = f64::INFINITY;
-    let mut telemetry = CeTelemetry::default();
-    let mut evaluations: u64 = 0;
-
-    let mut prev_signature: Option<Vec<f64>> = None;
-    let mut stable_iters = 0usize;
-    let mut prev_gamma: Option<f64> = None;
-    let mut gamma_stable = 0usize;
-    let mut stop_reason = StopReason::MaxIters;
-    let mut iterations = 0usize;
     let mut samples: Vec<M::Sample> = Vec::with_capacity(n);
 
     for iter in 0..config.max_iters {
-        iterations = iter + 1;
         let iter_start = traced.then(Instant::now);
 
         // Step 3 (Fig. 5): draw the sample batch (buffer reused across
@@ -292,44 +218,119 @@ where
             samples.len(),
             "evaluator returned wrong length"
         );
-        evaluations += n as u64;
-        if traced {
+        run.count_evaluations(n, recorder);
+
+        let stop = run.step(
+            iter,
+            model,
+            &costs,
+            |i| samples[i].clone(),
+            |model, elites| {
+                let elites: Vec<M::Sample> = elites.iter().map(|&i| samples[i].clone()).collect();
+                model.update_from_elites(&elites, config.zeta);
+            },
+            &mut observe,
+            recorder,
+            iter_start,
+            should_stop,
+        );
+        if let Some(reason) = stop {
+            return run.finish(reason);
+        }
+    }
+    run.finish(StopReason::MaxIters)
+}
+
+/// What both drivers carry across iterations: the incumbent, the
+/// evaluation count, per-iteration telemetry and the state of the
+/// stopping rules.
+struct Tracker<'c, S> {
+    config: &'c CeConfig,
+    elite_target: usize,
+    best_sample: Option<S>,
+    best_cost: f64,
+    telemetry: CeTelemetry,
+    evaluations: u64,
+    prev_signature: Option<Vec<f64>>,
+    stable_iters: usize,
+    prev_gamma: Option<f64>,
+    gamma_stable: usize,
+}
+
+impl<'c, S> Tracker<'c, S> {
+    fn new(config: &'c CeConfig) -> Self {
+        config.validate();
+        Tracker {
+            config,
+            elite_target: ((config.rho * config.sample_size as f64).floor() as usize).max(1),
+            best_sample: None,
+            best_cost: f64::INFINITY,
+            telemetry: CeTelemetry::default(),
+            evaluations: 0,
+            prev_signature: None,
+            stable_iters: 0,
+            prev_gamma: None,
+            gamma_stable: 0,
+        }
+    }
+
+    /// Count one scored batch of `n` samples.
+    fn count_evaluations(&mut self, n: usize, recorder: &mut dyn Recorder) {
+        self.evaluations += n as u64;
+        if recorder.enabled() {
             recorder.record(Event::Counter {
                 name: "evaluations".into(),
                 value: n as u64,
             });
         }
+    }
+
+    /// Everything after a batch is scored: select the elite, capture the
+    /// incumbent (`sample(i)` copies sample `i` out of the batch), apply
+    /// `update` to the elite indices, record telemetry, and apply the
+    /// stopping rules. Returns why the loop must stop, if it must.
+    #[allow(clippy::too_many_arguments)]
+    fn step<M: CeModel>(
+        &mut self,
+        iter: usize,
+        model: &mut M,
+        costs: &[f64],
+        sample: impl Fn(usize) -> S,
+        update: impl FnOnce(&mut M, &[usize]),
+        observe: &mut impl FnMut(usize, &M),
+        recorder: &mut dyn Recorder,
+        iter_start: Option<Instant>,
+        should_stop: &dyn Fn() -> bool,
+    ) -> Option<StopReason> {
+        let config = self.config;
+        let traced = recorder.enabled();
+        let n = costs.len();
 
         // Steps 4–5: the ρ-quantile threshold γ and the elite set, in
         // O(N) expected instead of a full sort.
-        let selection = select_elites(&costs, elite_target);
+        let selection = select_elites(costs, self.elite_target);
         let gamma = selection.gamma;
-        let elites: Vec<M::Sample> = selection
-            .elites
-            .iter()
-            .map(|&i| samples[i].clone())
-            .collect();
-        let elite_count = elites.len();
+        let elite_count = selection.elites.len();
 
         // Track the incumbent.
         let first = selection.best;
         // `<` alone would never capture a sample when every cost is +∞
         // (all-infeasible iterations of penalised formulations).
-        if best_sample.is_none() || costs[first] < best_cost {
-            best_cost = costs[first];
-            best_sample = Some(samples[first].clone());
+        if self.best_sample.is_none() || costs[first] < self.best_cost {
+            self.best_cost = costs[first];
+            self.best_sample = Some(sample(first));
         }
 
         // Step 6: ML update + smoothing.
         let span = traced.then(|| Span::start("update", iter as u64));
-        model.update_from_elites(&elites, config.zeta);
+        update(model, &selection.elites);
         if let Some(span) = span {
             span.finish(recorder);
         }
         observe(iter, model);
 
         let mean = costs.iter().sum::<f64>() / n as f64;
-        telemetry.iters.push(IterStats {
+        self.telemetry.iters.push(IterStats {
             iter,
             gamma,
             best: costs[first],
@@ -351,53 +352,52 @@ where
 
         // Step 8: μ-stability (Eq. 12), plus degeneracy early-out.
         let signature = model.stability_signature();
-        if let Some(prev) = &prev_signature {
+        if let Some(prev) = &self.prev_signature {
             let stable = prev
                 .iter()
                 .zip(&signature)
                 .all(|(a, b)| (a - b).abs() <= config.stability_tol);
-            stable_iters = if stable { stable_iters + 1 } else { 0 };
+            self.stable_iters = if stable { self.stable_iters + 1 } else { 0 };
         }
-        prev_signature = Some(signature);
-        if stable_iters >= config.stability_window {
-            stop_reason = StopReason::MuStable;
-            break;
+        self.prev_signature = Some(signature);
+        if self.stable_iters >= config.stability_window {
+            return Some(StopReason::MuStable);
         }
         // Figure 2's γ-stability rule.
         if config.gamma_window > 0 {
-            if let Some(pg) = prev_gamma {
+            if let Some(pg) = self.prev_gamma {
                 let equal = if pg.is_finite() && gamma.is_finite() {
                     (pg - gamma).abs() <= config.gamma_tol * (1.0 + pg.abs())
                 } else {
                     pg == gamma
                 };
-                gamma_stable = if equal { gamma_stable + 1 } else { 0 };
+                self.gamma_stable = if equal { self.gamma_stable + 1 } else { 0 };
             }
-            prev_gamma = Some(gamma);
-            if gamma_stable >= config.gamma_window {
-                stop_reason = StopReason::GammaStable;
-                break;
+            self.prev_gamma = Some(gamma);
+            if self.gamma_stable >= config.gamma_window {
+                return Some(StopReason::GammaStable);
             }
         }
         if model.is_degenerate(config.degeneracy_tol) {
-            stop_reason = StopReason::Degenerate;
-            break;
+            return Some(StopReason::Degenerate);
         }
         // Cooperative cancellation, polled last so the incumbent from
         // this iteration is already captured.
         if should_stop() {
-            stop_reason = StopReason::Cancelled;
-            break;
+            return Some(StopReason::Cancelled);
         }
+        None
     }
 
-    CeOutcome {
-        best_sample: best_sample.expect("at least one iteration ran"),
-        best_cost,
-        iterations,
-        evaluations,
-        stop_reason,
-        telemetry,
+    fn finish(self, stop_reason: StopReason) -> CeOutcome<S> {
+        CeOutcome {
+            best_sample: self.best_sample.expect("at least one iteration ran"),
+            best_cost: self.best_cost,
+            iterations: self.telemetry.iters.len(),
+            evaluations: self.evaluations,
+            stop_reason,
+            telemetry: self.telemetry,
+        }
     }
 }
 
@@ -452,62 +452,26 @@ pub fn select_elites(costs: &[f64], elite_target: usize) -> EliteSelection {
 
 /// The fused parallel CE loop for [`FlatSampler`] models: per iteration,
 /// the `N`-sample batch is split into `match-par` row chunks and each
-/// worker **draws and scores its rows in the same pass**, writing into
-/// one flat `N × width` buffer — no per-sample allocation, no
-/// sample-then-evaluate barrier.
+/// worker **draws its rows, then scores the whole chunk** in one
+/// [`FlatEvaluator::evaluate_rows`] call, writing into one flat
+/// `N × width` buffer — no per-sample allocation, no sample-then-evaluate
+/// barrier, and a chunk-sized batch for `match-core`'s SIMD-style
+/// kernel to amortise its transpose and lane buffers over. A per-row
+/// closure plugs in through [`RowEval`](crate::batch::RowEval).
 ///
 /// Determinism: the driver RNG is consumed exactly once per iteration
 /// (one `u64` → the iteration seed); sample `i` draws from its own
 /// counter-based `match_rngutil::SplitMix64::stream(iter_seed, i)` —
 /// two mixes to set up instead of a full `StdRng` key expansion per
-/// sample. Results are therefore identical for every `threads` value
-/// and chunking — though the stream differs from the sequential
-/// [`minimize_controlled`] path.
+/// sample. Evaluation is pure and chunk boundaries only regroup the
+/// evaluator's batches, so results are identical for every `threads`
+/// value and chunking — though the stream differs from
+/// [`minimize_controlled`]'s.
 ///
 /// When `recorder` is enabled, the fused region still reports separate
 /// `sample` / `evaluate` spans: workers accumulate per-phase nanoseconds
 /// and the region's wall clock is split proportionally (table builds
 /// count as sampling). Per-chunk [`PoolEvent`]s expose dispatch balance.
-#[allow(clippy::too_many_arguments)]
-pub fn minimize_flat<M, F, O>(
-    model: &mut M,
-    config: &CeConfig,
-    rng: &mut StdRng,
-    threads: usize,
-    evaluate: F,
-    observe: O,
-    recorder: &mut dyn Recorder,
-    should_stop: &dyn Fn() -> bool,
-) -> CeOutcome<Vec<usize>>
-where
-    M: FlatSampler,
-    F: Fn(&[usize]) -> f64 + Sync,
-    O: FnMut(usize, &M),
-{
-    minimize_flat_with(
-        model,
-        config,
-        rng,
-        threads,
-        &RowEval(evaluate),
-        observe,
-        recorder,
-        should_stop,
-    )
-}
-
-/// [`minimize_flat`] with a [`FlatEvaluator`] instead of a per-row
-/// closure: each worker samples its whole chunk of rows first, then
-/// scores the chunk in **one** `evaluate_rows` call — the hook that
-/// lets `match-core`'s SIMD-style batch kernel amortise its transpose
-/// and lane buffers across a chunk.
-///
-/// The RNG contract is unchanged from [`minimize_flat`] (one driver
-/// draw per iteration, sample `i` from `SplitMix64::stream(iter_seed,
-/// i)`), and evaluation is pure, so for a bit-exact evaluator the
-/// trajectory is identical to the per-row pipeline — and still
-/// thread-count invariant, because chunk boundaries only regroup the
-/// evaluator's batches, never reorder any per-sample computation.
 #[allow(clippy::too_many_arguments)]
 pub fn minimize_flat_with<M, E, O>(
     model: &mut M,
@@ -524,30 +488,16 @@ where
     E: FlatEvaluator,
     O: FnMut(usize, &M),
 {
-    config.validate();
+    let mut run = Tracker::new(config);
     let traced = recorder.enabled();
     let n = config.sample_size;
     let width = model.width();
-    let elite_target = ((config.rho * n as f64).floor() as usize).max(1);
-
-    let mut best_sample: Option<Vec<usize>> = None;
-    let mut best_cost = f64::INFINITY;
-    let mut telemetry = CeTelemetry::default();
-    let mut evaluations: u64 = 0;
-
-    let mut prev_signature: Option<Vec<f64>> = None;
-    let mut stable_iters = 0usize;
-    let mut prev_gamma: Option<f64> = None;
-    let mut gamma_stable = 0usize;
-    let mut stop_reason = StopReason::MaxIters;
-    let mut iterations = 0usize;
 
     let mut tables = model.new_tables();
     let mut data = vec![0usize; n * width];
     let mut costs = vec![0.0f64; n];
 
     for iter in 0..config.max_iters {
-        iterations = iter + 1;
         let iter_start = traced.then(Instant::now);
 
         // One driver-RNG draw per iteration; everything below is a pure
@@ -589,13 +539,7 @@ where
                 }
             },
         );
-        evaluations += n as u64;
-        if traced {
-            recorder.record(Event::Counter {
-                name: "evaluations".into(),
-                value: n as u64,
-            });
-        }
+        run.count_evaluations(n, recorder);
 
         if let Some(start) = region_start {
             // Split the fused region's wall clock between the two logical
@@ -631,156 +575,79 @@ where
             }
         }
 
-        // Steps 4–5: γ and the elite set, O(N) expected.
-        let selection = select_elites(&costs, elite_target);
-        let gamma = selection.gamma;
-        let elite_count = selection.elites.len();
-
-        // Track the incumbent.
-        let first = selection.best;
-        if best_sample.is_none() || costs[first] < best_cost {
-            best_cost = costs[first];
-            best_sample = Some(data[first * width..(first + 1) * width].to_vec());
-        }
-
-        // Step 6: ML update + smoothing, straight off the flat batch.
-        let span = traced.then(|| Span::start("update", iter as u64));
-        model.update_from_flat(
-            &FlatBatch::new(width, &data),
-            &selection.elites,
-            config.zeta,
-        );
-        if let Some(span) = span {
-            span.finish(recorder);
-        }
-        observe(iter, model);
-
-        let mean = costs.iter().sum::<f64>() / n as f64;
-        telemetry.iters.push(IterStats {
+        // The ML update reads the elite rows straight off the flat batch.
+        let stop = run.step(
             iter,
-            gamma,
-            best: costs[first],
-            mean,
-            worst: selection.worst,
-            elite_count,
-            entropy: model.entropy(),
-        });
-        if let Some(start) = iter_start {
-            recorder.record(Event::Iter(IterEvent {
-                iter: iter as u64,
-                best: costs[first],
-                mean,
-                gamma: Some(gamma),
-                elite_size: elite_count as u64,
-                wall_ns: start.elapsed().as_nanos() as u64,
-            }));
-        }
-
-        // Stopping rules: identical to `minimize_controlled`.
-        let signature = model.stability_signature();
-        if let Some(prev) = &prev_signature {
-            let stable = prev
-                .iter()
-                .zip(&signature)
-                .all(|(a, b)| (a - b).abs() <= config.stability_tol);
-            stable_iters = if stable { stable_iters + 1 } else { 0 };
-        }
-        prev_signature = Some(signature);
-        if stable_iters >= config.stability_window {
-            stop_reason = StopReason::MuStable;
-            break;
-        }
-        if config.gamma_window > 0 {
-            if let Some(pg) = prev_gamma {
-                let equal = if pg.is_finite() && gamma.is_finite() {
-                    (pg - gamma).abs() <= config.gamma_tol * (1.0 + pg.abs())
-                } else {
-                    pg == gamma
-                };
-                gamma_stable = if equal { gamma_stable + 1 } else { 0 };
-            }
-            prev_gamma = Some(gamma);
-            if gamma_stable >= config.gamma_window {
-                stop_reason = StopReason::GammaStable;
-                break;
-            }
-        }
-        if model.is_degenerate(config.degeneracy_tol) {
-            stop_reason = StopReason::Degenerate;
-            break;
-        }
-        if should_stop() {
-            stop_reason = StopReason::Cancelled;
-            break;
+            model,
+            &costs,
+            |i| data[i * width..(i + 1) * width].to_vec(),
+            |model, elites| {
+                model.update_from_flat(&FlatBatch::new(width, &data), elites, config.zeta)
+            },
+            &mut observe,
+            recorder,
+            iter_start,
+            should_stop,
+        );
+        if let Some(reason) = stop {
+            return run.finish(reason);
         }
     }
-
-    CeOutcome {
-        best_sample: best_sample.expect("at least one iteration ran"),
-        best_cost,
-        iterations,
-        evaluations,
-        stop_reason,
-        telemetry,
-    }
-}
-
-/// Warm-started [`minimize_flat_with`] for the permutation family: seed
-/// the stochastic matrix as `α·prior + (1 − α)·uniform`
-/// ([`StochasticMatrix::warm_seed`]) instead of uniform, run the fused
-/// flat loop, and return the **converged** matrix alongside the outcome
-/// so the caller can persist it as the next request's prior.
-///
-/// `α = 0` (or a `prior` of the wrong shape) reproduces the cold path
-/// bit-for-bit: `warm_seed` returns the exact uniform matrix and the
-/// loop below is the same code `minimize_flat_with` runs on a
-/// `PermutationModel::uniform` model.
-#[allow(clippy::too_many_arguments)]
-pub fn minimize_flat_from<E, O>(
-    prior: Option<&crate::stochmatrix::StochasticMatrix>,
-    alpha: f64,
-    n_rows: usize,
-    config: &CeConfig,
-    rng: &mut StdRng,
-    threads: usize,
-    evaluator: &E,
-    observe: O,
-    recorder: &mut dyn Recorder,
-    should_stop: &dyn Fn() -> bool,
-) -> (CeOutcome<Vec<usize>>, crate::stochmatrix::StochasticMatrix)
-where
-    E: FlatEvaluator,
-    O: FnMut(usize, &crate::models::permutation::PermutationModel),
-{
-    use crate::models::permutation::PermutationModel;
-    use crate::stochmatrix::StochasticMatrix;
-    let init = match prior {
-        Some(p) if alpha > 0.0 && p.rows() == n_rows && p.cols() == n_rows => {
-            StochasticMatrix::warm_seed(p, alpha)
-        }
-        _ => StochasticMatrix::uniform(n_rows, n_rows),
-    };
-    let mut model = PermutationModel::from_matrix(init);
-    let out = minimize_flat_with(
-        &mut model,
-        config,
-        rng,
-        threads,
-        evaluator,
-        observe,
-        recorder,
-        should_stop,
-    );
-    let converged = model.matrix().clone();
-    (out, converged)
+    run.finish(StopReason::MaxIters)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::RowEval;
     use crate::models::bernoulli::BernoulliModel;
     use crate::models::permutation::PermutationModel;
+    use match_telemetry::NullRecorder;
     use rand::SeedableRng;
+
+    /// Per-sample `score` through [`minimize_controlled`], untraced and
+    /// never cancelled.
+    fn run_scored<M>(
+        model: &mut M,
+        config: &CeConfig,
+        rng: &mut StdRng,
+        mut score: impl FnMut(&M::Sample) -> f64,
+    ) -> CeOutcome<M::Sample>
+    where
+        M: CeModel,
+        M::Sample: Clone,
+    {
+        minimize_controlled(
+            model,
+            config,
+            rng,
+            |samples, _| samples.iter().map(&mut score).collect(),
+            |_, _| {},
+            &mut NullRecorder,
+            &|| false,
+        )
+    }
+
+    /// Per-row `score` through [`minimize_flat_with`], never cancelled.
+    fn run_rows<M: FlatSampler>(
+        model: &mut M,
+        config: &CeConfig,
+        rng: &mut StdRng,
+        threads: usize,
+        score: impl Fn(&[usize]) -> f64 + Sync,
+        recorder: &mut dyn Recorder,
+    ) -> CeOutcome<Vec<usize>> {
+        minimize_flat_with(
+            model,
+            config,
+            rng,
+            threads,
+            &RowEval(score),
+            |_, _| {},
+            recorder,
+            &|| false,
+        )
+    }
 
     /// Cost: number of coordinates that differ from a hidden target.
     fn hamming_cost(target: &[bool]) -> impl Fn(&Vec<bool>) -> f64 + '_ {
@@ -793,7 +660,7 @@ mod tests {
         let mut model = BernoulliModel::uniform(target.len());
         let cfg = CeConfig::with_sample_size(100);
         let mut rng = StdRng::seed_from_u64(81);
-        let out = minimize(&mut model, &cfg, &mut rng, hamming_cost(&target));
+        let out = run_scored(&mut model, &cfg, &mut rng, hamming_cost(&target));
         assert_eq!(out.best_cost, 0.0);
         assert_eq!(out.best_sample, target);
         assert!(out.iterations < 100);
@@ -809,7 +676,7 @@ mod tests {
         let mut model = PermutationModel::uniform(target.len());
         let cfg = CeConfig::with_sample_size(200);
         let mut rng = StdRng::seed_from_u64(82);
-        let out = minimize(&mut model, &cfg, &mut rng, |s: &Vec<usize>| {
+        let out = run_scored(&mut model, &cfg, &mut rng, |s: &Vec<usize>| {
             s.iter().zip(&target).filter(|(a, b)| a != b).count() as f64
         });
         assert_eq!(out.best_cost, 0.0);
@@ -823,7 +690,7 @@ mod tests {
         let mut model = BernoulliModel::uniform(12);
         let cfg = CeConfig::with_sample_size(80);
         let mut rng = StdRng::seed_from_u64(83);
-        let out = minimize(&mut model, &cfg, &mut rng, hamming_cost(&target));
+        let out = run_scored(&mut model, &cfg, &mut rng, hamming_cost(&target));
         let first = out.telemetry.iters.first().unwrap().gamma;
         let last = out.telemetry.iters.last().unwrap().gamma;
         assert!(last <= first);
@@ -837,7 +704,7 @@ mod tests {
         let mut model = BernoulliModel::uniform(10);
         let cfg = CeConfig::with_sample_size(50);
         let mut rng = StdRng::seed_from_u64(84);
-        let out = minimize(&mut model, &cfg, &mut rng, hamming_cost(&target));
+        let out = run_scored(&mut model, &cfg, &mut rng, hamming_cost(&target));
         let curve = out.telemetry.best_curve();
         for w in curve.windows(2) {
             assert!(w[1] <= w[0]);
@@ -850,17 +717,19 @@ mod tests {
         let cfg = CeConfig::with_sample_size(30);
         let mut rng = StdRng::seed_from_u64(85);
         let mut seen = Vec::new();
-        let out = minimize_with(
+        let out = minimize_controlled(
             &mut model,
             &cfg,
             &mut rng,
-            |samples| {
+            |samples, _| {
                 samples
                     .iter()
                     .map(|s| s.iter().filter(|&&b| b).count() as f64)
                     .collect()
             },
             |iter, _m| seen.push(iter),
+            &mut NullRecorder,
+            &|| false,
         );
         assert_eq!(seen.len(), out.iterations);
         assert_eq!(seen, (0..out.iterations).collect::<Vec<_>>());
@@ -874,7 +743,7 @@ mod tests {
         // Random objective: no convergence possible.
         let mut rng = StdRng::seed_from_u64(86);
         let mut flip = 0.0;
-        let out = minimize(&mut model, &cfg, &mut rng, |_s| {
+        let out = run_scored(&mut model, &cfg, &mut rng, |_s| {
             flip += 1.0;
             (flip * 7919.0) % 97.0
         });
@@ -891,7 +760,7 @@ mod tests {
         cfg.stability_window = 50; // keep μ-rule out of the way
         let target = vec![true; 6];
         let mut rng = StdRng::seed_from_u64(87);
-        let out = minimize(&mut model, &cfg, &mut rng, hamming_cost(&target));
+        let out = run_scored(&mut model, &cfg, &mut rng, hamming_cost(&target));
         assert!(matches!(
             out.stop_reason,
             StopReason::Degenerate | StopReason::MuStable
@@ -906,7 +775,7 @@ mod tests {
         let mut model = BernoulliModel::uniform(5);
         let cfg = CeConfig::with_sample_size(60);
         let mut rng = StdRng::seed_from_u64(88);
-        let out = minimize(&mut model, &cfg, &mut rng, |s: &Vec<bool>| {
+        let out = run_scored(&mut model, &cfg, &mut rng, |s: &Vec<bool>| {
             let ones = s.iter().filter(|&&b| b).count();
             if ones == 0 {
                 f64::INFINITY
@@ -924,7 +793,7 @@ mod tests {
         let mut cfg = CeConfig::with_sample_size(10);
         cfg.rho = 0.0;
         let mut rng = StdRng::seed_from_u64(89);
-        minimize(&mut model, &cfg, &mut rng, |_| 0.0);
+        run_scored(&mut model, &cfg, &mut rng, |_| 0.0);
     }
 
     #[test]
@@ -933,7 +802,7 @@ mod tests {
         let mut model = BernoulliModel::uniform(2);
         let mut cfg = CeConfig::with_sample_size(10);
         cfg.zeta = 1.5;
-        minimize(&mut model, &cfg, &mut StdRng::seed_from_u64(89), |_| 0.0);
+        run_scored(&mut model, &cfg, &mut StdRng::seed_from_u64(89), |_| 0.0);
     }
 
     #[test]
@@ -941,7 +810,7 @@ mod tests {
     fn zero_samples_panics() {
         let mut model = BernoulliModel::uniform(2);
         let cfg = CeConfig::with_sample_size(0);
-        minimize(&mut model, &cfg, &mut StdRng::seed_from_u64(89), |_| 0.0);
+        run_scored(&mut model, &cfg, &mut StdRng::seed_from_u64(89), |_| 0.0);
     }
 
     #[test]
@@ -950,12 +819,11 @@ mod tests {
         let mut model = BernoulliModel::uniform(2);
         let mut cfg = CeConfig::with_sample_size(10);
         cfg.max_iters = 0;
-        minimize(&mut model, &cfg, &mut StdRng::seed_from_u64(89), |_| 0.0);
+        run_scored(&mut model, &cfg, &mut StdRng::seed_from_u64(89), |_| 0.0);
     }
 
     #[test]
     fn cancellation_fires_after_one_iteration() {
-        use match_telemetry::NullRecorder;
         // A hostile predicate that is always true still lets one
         // iteration run, so the outcome has a valid incumbent.
         let mut model = BernoulliModel::uniform(16);
@@ -982,13 +850,13 @@ mod tests {
 
     #[test]
     fn never_firing_predicate_changes_nothing() {
-        // Same seed, with and without a (never-firing) stop predicate:
-        // identical trajectories, because polling consumes no RNG.
-        use match_telemetry::NullRecorder;
+        // Same seed, with a constant and with a polled, never-firing
+        // stop predicate: identical trajectories, because polling
+        // consumes no RNG.
         let target = vec![true, false, true, true, false, false, true, false];
         let cfg = CeConfig::with_sample_size(100);
         let mut m1 = BernoulliModel::uniform(target.len());
-        let plain = minimize(
+        let plain = run_scored(
             &mut m1,
             &cfg,
             &mut StdRng::seed_from_u64(81),
@@ -996,6 +864,7 @@ mod tests {
         );
         let mut m2 = BernoulliModel::uniform(target.len());
         let cost = hamming_cost(&target);
+        let polls = std::cell::Cell::new(0usize);
         let controlled = minimize_controlled(
             &mut m2,
             &cfg,
@@ -1003,12 +872,18 @@ mod tests {
             |samples, _r| samples.iter().map(&cost).collect(),
             |_, _| {},
             &mut NullRecorder,
-            &|| false,
+            &|| {
+                polls.set(polls.get() + 1);
+                false
+            },
         );
         assert_eq!(plain.best_sample, controlled.best_sample);
         assert_eq!(plain.best_cost, controlled.best_cost);
         assert_eq!(plain.iterations, controlled.iterations);
         assert_eq!(plain.stop_reason, controlled.stop_reason);
+        // Polled once per iteration that no stopping rule ended.
+        let ended_by_rule = usize::from(controlled.stop_reason != StopReason::MaxIters);
+        assert_eq!(polls.get(), controlled.iterations - ended_by_rule);
     }
 
     #[test]
@@ -1017,7 +892,7 @@ mod tests {
         let cfg = CeConfig::with_sample_size(50);
         let mut rng = StdRng::seed_from_u64(90);
         // Constant objective: every sample ties at γ, so all are elite.
-        let out = minimize(&mut model, &cfg, &mut rng, |_| 1.0);
+        let out = run_scored(&mut model, &cfg, &mut rng, |_| 1.0);
         assert!(out.telemetry.iters[0].elite_count == 50);
     }
 
@@ -1095,16 +970,7 @@ mod tests {
         let mut model = PermutationModel::uniform(target.len());
         let cfg = CeConfig::with_sample_size(200);
         let mut rng = StdRng::seed_from_u64(82);
-        let out = minimize_flat(
-            &mut model,
-            &cfg,
-            &mut rng,
-            1,
-            cost,
-            |_, _| {},
-            &mut NullRecorder,
-            &|| false,
-        );
+        let out = run_rows(&mut model, &cfg, &mut rng, 1, cost, &mut NullRecorder);
         assert_eq!(out.best_cost, 0.0);
         assert_eq!(out.best_sample, target);
     }
@@ -1116,15 +982,13 @@ mod tests {
             let mut model = PermutationModel::uniform(target.len());
             let cfg = CeConfig::with_sample_size(120);
             let mut rng = StdRng::seed_from_u64(93);
-            minimize_flat(
+            run_rows(
                 &mut model,
                 &cfg,
                 &mut rng,
                 threads,
                 |s: &[usize]| s.iter().zip(&target).filter(|(a, b)| a != b).count() as f64,
-                |_, _| {},
                 &mut NullRecorder,
-                &|| false,
             )
         };
         let one = run(1);
@@ -1159,15 +1023,13 @@ mod tests {
         let target = vec![2usize, 0, 3, 1, 4];
         let cfg = CeConfig::with_sample_size(120);
         let mut model = PermutationModel::uniform(target.len());
-        let per_row = minimize_flat(
+        let per_row = run_rows(
             &mut model,
             &cfg,
             &mut StdRng::seed_from_u64(93),
             1,
             |s: &[usize]| s.iter().zip(&target).filter(|(a, b)| a != b).count() as f64,
-            |_, _| {},
             &mut NullRecorder,
-            &|| false,
         );
         for threads in [1, 2, 8] {
             let mut model = PermutationModel::uniform(target.len());
@@ -1199,15 +1061,13 @@ mod tests {
         cfg.max_iters = 3;
         let mut rng = StdRng::seed_from_u64(94);
         let mut recorder = MemoryRecorder::default();
-        minimize_flat(
+        run_rows(
             &mut model,
             &cfg,
             &mut rng,
             2,
             |s: &[usize]| s[0] as f64,
-            |_, _| {},
             &mut recorder,
-            &|| false,
         );
         let mut sample_spans = 0;
         let mut eval_spans = 0;

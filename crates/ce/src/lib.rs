@@ -6,10 +6,8 @@
 //! performance function `S`, and (3) move the parameters `v` toward the
 //! maximum-likelihood estimate over the elite, optionally smoothed
 //! (Eq. 13). The MaTCH heuristic in `match-core` is an instance of this
-//! framework; implementing the framework generically lets us validate it
-//! on independent benchmark COPs from the CE literature (max-cut and
-//! graph bipartition, Rubinstein 2002) before trusting it on the mapping
-//! problem.
+//! framework, and so is the balanced graph bipartition (Rubinstein 2002)
+//! that the recursive-bisection baseline runs.
 //!
 //! * [`stochmatrix`] — row-stochastic matrices, the parameter object of
 //!   assignment-type problems (tasks × resources), with entropy and
@@ -18,11 +16,14 @@
 //!   degeneracy.
 //! * [`models`] — permutation (GenPerm), independent-assignment and
 //!   Bernoulli-vector model families.
+//! * [`batch`] — the flat-buffer sampling and chunk-scoring contracts
+//!   behind the fused parallel pipeline.
 //! * [`driver`] — the iterative optimizer (Figure 2 / Figure 5 skeleton)
 //!   with elite selection, smoothing, stability-based stopping and full
-//!   per-iteration telemetry.
-//! * [`problems`] — benchmark COPs (max-cut, bipartition) exercising the
-//!   framework end to end.
+//!   per-iteration telemetry, behind two entry points:
+//!   [`minimize_controlled`] for any [`CeModel`] and
+//!   [`minimize_flat_with`] for the fused flat pipeline.
+//! * [`problems`] — balanced graph bipartition over the Bernoulli model.
 //!
 //! ## Elite-selection convention
 //!
@@ -42,18 +43,15 @@ pub mod driver;
 pub mod model;
 pub mod models;
 pub mod problems;
-pub mod rare_event;
 pub mod stochmatrix;
 
 pub use batch::{FlatBatch, FlatEvaluator, FlatSampler, RowEval};
 pub use driver::{
-    minimize, minimize_controlled, minimize_flat, minimize_flat_from, minimize_flat_with,
-    minimize_traced, minimize_with, select_elites, CeConfig, CeOutcome, CeTelemetry,
+    minimize_controlled, minimize_flat_with, select_elites, CeConfig, CeOutcome, CeTelemetry,
     EliteSelection, IterStats, StopReason,
 };
 pub use model::CeModel;
 pub use models::assignment::AssignmentModel;
 pub use models::bernoulli::BernoulliModel;
-pub use models::gaussian::GaussianModel;
 pub use models::permutation::PermutationModel;
 pub use stochmatrix::StochasticMatrix;

@@ -49,9 +49,6 @@ pub trait CeModel {
     /// single sample — the paper's degenerate stochastic matrix.
     fn is_degenerate(&self, tol: f64) -> bool;
 
-    /// The modal (most likely) sample under the current parameters.
-    fn mode(&self) -> Self::Sample;
-
     /// A scalar diagnostic of remaining randomness (e.g. mean row
     /// entropy); used for telemetry only.
     fn entropy(&self) -> f64;

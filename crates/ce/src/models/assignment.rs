@@ -99,10 +99,6 @@ impl CeModel for AssignmentModel {
         self.matrix.is_degenerate(tol)
     }
 
-    fn mode(&self) -> Vec<usize> {
-        self.matrix.mode_assignment()
-    }
-
     fn entropy(&self) -> f64 {
         self.matrix.mean_entropy()
     }
@@ -209,7 +205,7 @@ mod tests {
     fn mode_is_rowwise_argmax() {
         let data = vec![0.1, 0.8, 0.1, 0.6, 0.2, 0.2];
         let m = AssignmentModel::from_matrix(StochasticMatrix::from_rows(2, 3, data));
-        assert_eq!(m.mode(), vec![1, 0]);
+        assert_eq!(m.matrix().mode_assignment(), vec![1, 0]);
     }
 
     #[test]

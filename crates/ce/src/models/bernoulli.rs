@@ -73,10 +73,6 @@ impl CeModel for BernoulliModel {
         self.probs.iter().all(|&p| p <= tol || p >= 1.0 - tol)
     }
 
-    fn mode(&self) -> Vec<bool> {
-        self.probs.iter().map(|&p| p >= 0.5).collect()
-    }
-
     fn entropy(&self) -> f64 {
         let h = |p: f64| {
             if p <= 0.0 || p >= 1.0 {
@@ -144,11 +140,10 @@ mod tests {
     }
 
     #[test]
-    fn degeneracy_and_mode() {
+    fn degeneracy_within_tolerance() {
         let m = BernoulliModel::from_probs(vec![0.999, 0.001]);
         assert!(m.is_degenerate(0.01));
         assert!(!m.is_degenerate(1e-6));
-        assert_eq!(m.mode(), vec![true, false]);
     }
 
     #[test]

@@ -7,9 +7,8 @@
 //!   introducing GenPerm, retained for the many-to-one generalisation
 //!   and as an ablation.
 //! * [`bernoulli`] — independent Bernoulli vector, the classic CE model
-//!   for max-cut / bipartition benchmark problems.
+//!   for graph bipartition.
 
 pub mod assignment;
 pub mod bernoulli;
-pub mod gaussian;
 pub mod permutation;

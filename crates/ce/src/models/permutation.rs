@@ -206,38 +206,6 @@ impl CeModel for PermutationModel {
         self.matrix.is_degenerate(tol)
     }
 
-    fn mode(&self) -> Vec<usize> {
-        // Greedy maximum-probability matching: rows in descending max
-        // probability claim their argmax among free columns. (The exact
-        // mode of the GenPerm distribution is a hard assignment problem;
-        // after convergence the matrix is degenerate and this greedy
-        // recovers it exactly.)
-        let n = self.len();
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&a, &b| {
-            self.matrix
-                .row_max(b)
-                .1
-                .partial_cmp(&self.matrix.row_max(a).1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let mut used = vec![false; n];
-        let mut out = vec![0usize; n];
-        for &i in &order {
-            let row = self.matrix.row(i);
-            let mut best: Option<(usize, f64)> = None;
-            for (j, &p) in row.iter().enumerate() {
-                if !used[j] && best.is_none_or(|(_, bp)| p > bp) {
-                    best = Some((j, p));
-                }
-            }
-            let (j, _) = best.expect("a free column exists");
-            used[j] = true;
-            out[i] = j;
-        }
-        out
-    }
-
     fn entropy(&self) -> f64 {
         self.matrix.mean_entropy()
     }
@@ -432,7 +400,7 @@ mod tests {
             assert_eq!(model.sample(&mut rng), (0..n).collect::<Vec<_>>());
         }
         assert!(model.is_degenerate(1e-9));
-        assert_eq!(model.mode(), (0..n).collect::<Vec<_>>());
+        assert_eq!(model.matrix().mode_assignment(), (0..n).collect::<Vec<_>>());
         // The alias path agrees.
         let mut tables = model.new_tables();
         model.fill_tables(&mut tables);
@@ -520,7 +488,7 @@ mod tests {
             model.update_from_elites(&elite, 0.3);
         }
         assert!(model.is_degenerate(1e-6));
-        assert_eq!(model.mode(), vec![2, 0, 3, 1]);
+        assert_eq!(model.matrix().mode_assignment(), vec![2, 0, 3, 1]);
         assert!(model.entropy() < 1e-4);
     }
 
@@ -531,19 +499,6 @@ mod tests {
         assert_eq!(sig.len(), 3);
         for v in sig {
             assert!((v - 1.0 / 3.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn mode_is_always_a_permutation() {
-        let mut rng = StdRng::seed_from_u64(55);
-        for _ in 0..20 {
-            let n = 7;
-            let data: Vec<f64> = (0..n * n)
-                .map(|_| rand::Rng::random::<f64>(&mut rng))
-                .collect();
-            let model = PermutationModel::from_matrix(StochasticMatrix::from_rows(n, n, data));
-            assert!(is_permutation(&model.mode()));
         }
     }
 }

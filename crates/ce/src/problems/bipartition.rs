@@ -5,11 +5,21 @@
 //! of the mapping problem that [9, 20] in the paper's related work
 //! pursue. The CE formulation penalises imbalance in the objective.
 
-use crate::driver::{minimize, CeConfig, CeOutcome};
+use crate::driver::{minimize_controlled, CeConfig, CeOutcome};
 use crate::models::bernoulli::BernoulliModel;
-use crate::problems::maxcut::cut_weight;
 use match_graph::Graph;
+use match_telemetry::NullRecorder;
 use rand::rngs::StdRng;
+
+/// Total weight of edges crossing the cut defined by `side` (`true` = in
+/// `S`).
+pub fn cut_weight(g: &Graph, side: &[bool]) -> f64 {
+    assert_eq!(side.len(), g.node_count(), "side vector length mismatch");
+    g.edges()
+        .filter(|&(u, v, _)| side[u] != side[v])
+        .map(|(_, _, w)| w)
+        .sum()
+}
 
 /// Node-weight imbalance of a bipartition: `|W(S) − W(V∖S)|`.
 pub fn imbalance(g: &Graph, side: &[bool]) -> f64 {
@@ -54,9 +64,20 @@ pub fn bipartition(
     // several iterations during genuine progress; a wider gamma window
     // avoids stopping on those coarse plateaus.
     cfg.gamma_window = 15;
-    let outcome = minimize(&mut model, &cfg, rng, |s: &Vec<bool>| {
-        cut_weight(g, s) + penalty * imbalance(g, s)
-    });
+    let outcome = minimize_controlled(
+        &mut model,
+        &cfg,
+        rng,
+        |samples: &[Vec<bool>], _| {
+            samples
+                .iter()
+                .map(|s| cut_weight(g, s) + penalty * imbalance(g, s))
+                .collect()
+        },
+        |_, _| {},
+        &mut NullRecorder,
+        &|| false,
+    );
     let side = outcome.best_sample.clone();
     BipartitionResult {
         cut: cut_weight(g, &side),
@@ -71,6 +92,16 @@ mod tests {
     use super::*;
     use match_graph::gen::classic::grid2d_graph;
     use rand::SeedableRng;
+
+    #[test]
+    fn cut_weight_basics() {
+        let mut g = Graph::with_uniform_nodes(3, 1.0);
+        g.add_edge(0, 1, 2.0).unwrap();
+        g.add_edge(1, 2, 3.0).unwrap();
+        assert_eq!(cut_weight(&g, &[true, false, true]), 5.0);
+        assert_eq!(cut_weight(&g, &[true, true, true]), 0.0);
+        assert_eq!(cut_weight(&g, &[false, true, true]), 2.0);
+    }
 
     #[test]
     fn imbalance_basics() {

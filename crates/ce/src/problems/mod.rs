@@ -1,12 +1,8 @@
-//! Benchmark combinatorial optimization problems from the CE literature.
+//! The CE literature's graph problems that the mapping system still runs.
 //!
 //! The paper grounds the CE method in Rubinstein's work on "maximal cut
-//! and bipartition problems" (the paper's reference 23). These modules implement
-//! those two COPs over `match-graph` graphs and solve them with the
-//! generic driver, providing an end-to-end validation of the framework
-//! that is independent of the task-mapping problem.
+//! and bipartition problems" (the paper's reference 23). Balanced
+//! bipartition stays because the recursive-bisection baseline
+//! (`match-baselines`) splits task graphs with it.
 
 pub mod bipartition;
-pub mod continuous;
-pub mod maxcut;
-pub mod tsp;

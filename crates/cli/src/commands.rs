@@ -408,6 +408,11 @@ fn cmd_solve(args: &Args) -> Result<String, CliError> {
                 return Err(CliError::BadValue("caps".into(), algo.into()));
             }
             let gamma: f64 = args.parse_or("cap-gamma", 1.0)?;
+            // γ = ∞ turns the zero overflow of a fitting sample into NaN.
+            if !(gamma.is_finite() && gamma >= 0.0) {
+                let raw = args.get_or("cap-gamma", "");
+                return Err(CliError::BadValue("cap-gamma".into(), raw.into()));
+            }
             let spec = CapacitySpec::from_text(&read(path)?)
                 .map_err(|e| CliError::Io(format!("parsing {path}: {e}")))?;
             Some(CapacityModel::from_spec(&spec, gamma))
@@ -2573,6 +2578,25 @@ mod tests {
             ]),
             Err(CliError::BadValue(_, _))
         ));
+        // γ must be a finite, non-negative weight; anything else is a
+        // named error before the solve starts, not a panic inside it.
+        for bad in ["inf", "nan", "-1"] {
+            let r = run_tokens(&[
+                "solve",
+                "--tig",
+                tig_s,
+                "--platform",
+                plat_s,
+                "--caps",
+                caps_s,
+                "--cap-gamma",
+                bad,
+            ]);
+            assert!(
+                matches!(&r, Err(CliError::BadValue(o, v)) if o == "cap-gamma" && v == bad),
+                "--cap-gamma {bad}: {r:?}"
+            );
+        }
         // …and the sidecar only for topology families.
         assert!(matches!(
             run_tokens(&["gen", "--size", "6", "--out-caps", caps_s]),

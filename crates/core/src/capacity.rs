@@ -39,7 +39,9 @@ impl CapacityModel {
         }
     }
 
-    /// Panic on shape mismatch against `inst`.
+    /// Panic on shape mismatch against `inst`, or on a penalty weight
+    /// that is not a finite, non-negative number: `γ = ∞` would turn the
+    /// zero overflow of every fitting sample into `∞ · 0 = NaN`.
     pub fn validate(&self, inst: &MappingInstance) {
         assert_eq!(self.mem_demand.len(), inst.n_tasks(), "mem demand per task");
         assert_eq!(self.bw_demand.len(), inst.n_tasks(), "bw demand per task");
@@ -53,7 +55,10 @@ impl CapacityModel {
             inst.n_resources(),
             "bw capacity per resource"
         );
-        assert!(self.gamma >= 0.0, "gamma must be non-negative");
+        assert!(
+            self.gamma.is_finite() && self.gamma >= 0.0,
+            "gamma must be finite and non-negative"
+        );
     }
 
     /// Total capacity overflow of `assign`: `Σ_s max(0, load_s − cap_s)`
@@ -113,6 +118,15 @@ mod tests {
         let pile = vec![0usize; 8];
         assert!(m.penalty(&spread) <= m.penalty(&pile));
         assert!(m.penalty(&pile) > 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "gamma must be finite and non-negative")]
+    fn infinite_gamma_is_rejected() {
+        let m = model(8, f64::INFINITY);
+        let pair =
+            TopologyConfig::new(TopologyKind::Grid, 8).generate(&mut StdRng::seed_from_u64(9));
+        m.validate(&MappingInstance::from_pair(&pair));
     }
 
     #[test]

@@ -146,6 +146,8 @@ impl IslandMatcher {
             .collect();
 
         let gamma_window = self.config.base.gamma_window.max(1);
+        let gamma_tol = self.config.base.gamma_tol;
+        let degeneracy_tol = self.config.base.degeneracy_tol;
         let interval = self.config.migration_interval;
         // One private recorder per island: threads record concurrently
         // without sharing the caller's sink, and the barrier merges the
@@ -204,14 +206,16 @@ impl IslandMatcher {
 
                             // Per-island γ-stability stopping.
                             if let Some(pg) = island.prev_gamma {
-                                if (pg - gamma).abs() <= 1e-12 * (1.0 + pg.abs()) {
+                                if (pg - gamma).abs() <= gamma_tol * (1.0 + pg.abs()) {
                                     island.stable += 1;
                                 } else {
                                     island.stable = 0;
                                 }
                             }
                             island.prev_gamma = Some(gamma);
-                            if island.stable >= gamma_window || island.model.is_degenerate(1e-6) {
+                            if island.stable >= gamma_window
+                                || island.model.is_degenerate(degeneracy_tol)
+                            {
                                 island.done = true;
                                 break;
                             }
@@ -432,6 +436,34 @@ mod tests {
         // 4 islands × ≤8 iterations × (200/4) samples = ≤1600 evals.
         assert!(out.evaluations <= 1600, "evals {}", out.evaluations);
         assert!(out.iterations <= 8);
+    }
+
+    #[test]
+    fn loose_gamma_tol_stops_islands_sooner() {
+        // `base.gamma_tol` is the islands' γ-stability tolerance: a loose
+        // one counts nearby γ values as equal, so every island stops
+        // after fewer evaluations than at the default.
+        let inst = instance(10, 17);
+        let run = |gamma_tol: f64| {
+            let cfg = IslandConfig {
+                islands: 2,
+                base: MatchConfig {
+                    gamma_tol,
+                    threads: 1,
+                    ..MatchConfig::default()
+                },
+                ..IslandConfig::default()
+            };
+            IslandMatcher::new(cfg).run(&inst, &mut StdRng::seed_from_u64(18))
+        };
+        let strict = run(MatchConfig::default().gamma_tol);
+        let loose = run(1.0);
+        assert!(
+            loose.evaluations < strict.evaluations,
+            "loose {} vs default {}",
+            loose.evaluations,
+            strict.evaluations
+        );
     }
 
     #[test]

@@ -18,10 +18,9 @@ use crate::cost::exec_time;
 use crate::mapper::{record_run_start, Mapper, MapperOutcome};
 use crate::mapping::Mapping;
 use crate::problem::MappingInstance;
-use match_ce::batch::FlatSampler;
+use match_ce::batch::{FlatEvaluator, FlatSampler, RowEval};
 use match_ce::driver::{
-    minimize_controlled, minimize_flat, minimize_flat_with, minimize_traced, CeConfig, CeTelemetry,
-    StopReason,
+    minimize_controlled, minimize_flat_with, CeConfig, CeTelemetry, StopReason,
 };
 use match_ce::models::assignment::AssignmentModel;
 use match_ce::models::permutation::PermutationModel;
@@ -299,24 +298,7 @@ impl Matcher {
         rng: &mut StdRng,
         recorder: &mut dyn Recorder,
     ) -> MatchOutcome {
-        self.config.validate();
-        assert!(
-            inst.is_square(),
-            "MaTCH's GenPerm model needs |V_t| = |V_r| (got {} tasks, {} resources); \
-             use run_many_to_one instead",
-            inst.n_tasks(),
-            inst.n_resources()
-        );
-        let n = inst.n_tasks();
-        let mut model = PermutationModel::uniform(n);
-        self.drive(
-            inst,
-            rng,
-            &mut model,
-            |m| m.matrix().clone(),
-            recorder,
-            &StopToken::never(),
-        )
+        self.run_controlled(inst, rng, recorder, &StopToken::never())
     }
 
     /// [`Matcher::run_traced`] with cooperative cancellation: `stop` is
@@ -329,24 +311,8 @@ impl Matcher {
         recorder: &mut dyn Recorder,
         stop: &StopToken,
     ) -> MatchOutcome {
-        self.config.validate();
-        assert!(
-            inst.is_square(),
-            "MaTCH's GenPerm model needs |V_t| = |V_r| (got {} tasks, {} resources); \
-             use run_many_to_one instead",
-            inst.n_tasks(),
-            inst.n_resources()
-        );
-        let n = inst.n_tasks();
-        let mut model = PermutationModel::uniform(n);
-        self.drive(
-            inst,
-            rng,
-            &mut model,
-            |m| m.matrix().clone(),
-            recorder,
-            stop,
-        )
+        self.run_warm_controlled(inst, rng, recorder, stop, None, 0.0)
+            .0
     }
 
     /// [`Matcher::run_controlled`] warm-started from a persisted prior:
@@ -389,6 +355,8 @@ impl Matcher {
             rng,
             &mut model,
             |m| m.matrix().clone(),
+            &|row: &[usize]| exec_time(inst, row),
+            || PlanEvaluator::new(inst, self.config.backend),
             recorder,
             stop,
         );
@@ -407,6 +375,8 @@ impl Matcher {
             rng,
             &mut model,
             |m| m.matrix().clone(),
+            &|row: &[usize]| exec_time(inst, row),
+            || PlanEvaluator::new(inst, self.config.backend),
             &mut NullRecorder,
             &StopToken::never(),
         )
@@ -423,65 +393,23 @@ impl Matcher {
         );
         let n = inst.n_tasks();
         let mut model = AssignmentModel::uniform(n, n);
-        let start = Instant::now();
-        let cfg = self.config.ce_config(n);
-        let threads = self.config.threads;
-        let snapshots = std::cell::RefCell::new(Vec::new());
-        let every = self.config.snapshot_every;
-        let observe = |iter: usize, m: &AssignmentModel| {
-            if let Some(k) = every {
-                if iter.is_multiple_of(k.max(1)) {
-                    snapshots.borrow_mut().push(MatrixSnapshot {
-                        iter,
-                        matrix: m.matrix().clone(),
-                    });
-                }
+        let penalised = |row: &[usize]| {
+            if match_rngutil::perm::is_permutation(row) {
+                exec_time(inst, row)
+            } else {
+                f64::INFINITY
             }
         };
-        let outcome = match self.config.sampler.resolved_for(threads, inst.n_tasks()) {
-            SamplerMode::Batched => minimize_flat(
-                &mut model,
-                &cfg,
-                rng,
-                threads,
-                |row: &[usize]| {
-                    if match_rngutil::perm::is_permutation(row) {
-                        exec_time(inst, row)
-                    } else {
-                        f64::INFINITY
-                    }
-                },
-                observe,
-                &mut NullRecorder,
-                &|| false,
-            ),
-            _ => minimize_traced(
-                &mut model,
-                &cfg,
-                rng,
-                |samples: &[Vec<usize>], _recorder: &mut dyn Recorder| {
-                    match_par::parallel_map(samples.len(), threads, |i| {
-                        if match_rngutil::perm::is_permutation(&samples[i]) {
-                            exec_time(inst, &samples[i])
-                        } else {
-                            f64::INFINITY
-                        }
-                    })
-                },
-                observe,
-                &mut NullRecorder,
-            ),
-        };
-        MatchOutcome {
-            mapping: Mapping::new(outcome.best_sample),
-            cost: outcome.best_cost,
-            iterations: outcome.iterations,
-            evaluations: outcome.evaluations,
-            elapsed: start.elapsed(),
-            stop_reason: outcome.stop_reason,
-            telemetry: outcome.telemetry,
-            snapshots: snapshots.into_inner(),
-        }
+        self.drive(
+            inst,
+            rng,
+            &mut model,
+            |m| m.matrix().clone(),
+            &penalised,
+            || RowEval(&penalised),
+            &mut NullRecorder,
+            &StopToken::never(),
+        )
     }
 
     /// The Wilhelm-style capacitated objective on a square instance:
@@ -520,70 +448,45 @@ impl Matcher {
             inst.n_tasks(),
             inst.n_resources()
         );
-        let n = inst.n_tasks();
-        let mut model = PermutationModel::uniform(n);
-        let start = Instant::now();
-        record_run_start(recorder, "MaTCH", inst);
-        let cfg = self.config.ce_config(n);
-        let threads = self.config.threads;
-        let observe = |_: usize, _: &PermutationModel| {};
-        let outcome = match self.config.sampler.resolved_for(threads, n) {
-            SamplerMode::Batched => minimize_flat(
-                &mut model,
-                &cfg,
-                rng,
-                threads,
-                |row: &[usize]| exec_time(inst, row) + caps.penalty(row),
-                observe,
-                recorder,
-                &|| stop.should_stop(),
-            ),
-            _ => minimize_controlled(
-                &mut model,
-                &cfg,
-                rng,
-                |samples: &[Vec<usize>], _recorder: &mut dyn Recorder| {
-                    match_par::parallel_map(samples.len(), threads, |i| {
-                        exec_time(inst, &samples[i]) + caps.penalty(&samples[i])
-                    })
-                },
-                observe,
-                recorder,
-                &|| stop.should_stop(),
-            ),
-        };
-        let result = MatchOutcome {
-            mapping: Mapping::new(outcome.best_sample),
-            cost: outcome.best_cost,
-            iterations: outcome.iterations,
-            evaluations: outcome.evaluations,
-            elapsed: start.elapsed(),
-            stop_reason: outcome.stop_reason,
-            telemetry: outcome.telemetry,
-            snapshots: Vec::new(),
-        };
-        if recorder.enabled() {
-            recorder.record(Event::RunEnd {
-                best: result.cost,
-                iterations: result.iterations as u64,
-                evaluations: result.evaluations,
-                wall_ns: result.elapsed.as_nanos() as u64,
-            });
-        }
-        result
+        let mut model = PermutationModel::uniform(inst.n_tasks());
+        let penalised = |row: &[usize]| exec_time(inst, row) + caps.penalty(row);
+        self.drive(
+            inst,
+            rng,
+            &mut model,
+            |m| m.matrix().clone(),
+            &penalised,
+            || RowEval(&penalised),
+            recorder,
+            stop,
+        )
     }
 
-    fn drive<M>(
+    /// The one MaTCH loop behind every entry point: resolve the
+    /// [`SamplerMode`], run the matching CE driver, and collect the
+    /// outcome, `snapshot`s of the model and `run_start`/`run_end`
+    /// events.
+    ///
+    /// The objective comes in two forms. `score` scores one sample on
+    /// the sequential path; `batched` builds the chunk evaluator of the
+    /// fused batched pipeline, and is only called when that pipeline
+    /// runs. Both must compute the same cost.
+    #[allow(clippy::too_many_arguments)]
+    fn drive<M, S, E>(
         &self,
         inst: &MappingInstance,
         rng: &mut StdRng,
         model: &mut M,
         snapshot: impl Fn(&M) -> StochasticMatrix,
+        score: &S,
+        batched: impl FnOnce() -> E,
         recorder: &mut dyn Recorder,
         stop: &StopToken,
     ) -> MatchOutcome
     where
         M: FlatSampler,
+        S: Fn(&[usize]) -> f64 + Sync,
+        E: FlatEvaluator,
     {
         let start = Instant::now();
         record_run_start(recorder, "MaTCH", inst);
@@ -609,7 +512,7 @@ impl Matcher {
                 &cfg,
                 rng,
                 threads,
-                &PlanEvaluator::new(inst, self.config.backend),
+                &batched(),
                 observe,
                 recorder,
                 &|| stop.should_stop(),
@@ -628,7 +531,7 @@ impl Matcher {
                         if recorder.enabled() {
                             let (costs, timings) =
                                 match_par::parallel_map_timed(samples.len(), threads, |i| {
-                                    exec_time(inst, &samples[i])
+                                    score(&samples[i])
                                 });
                             for t in timings {
                                 recorder.record(Event::Pool(PoolEvent {
@@ -640,9 +543,7 @@ impl Matcher {
                             }
                             costs
                         } else {
-                            match_par::parallel_map(samples.len(), threads, |i| {
-                                exec_time(inst, &samples[i])
-                            })
+                            match_par::parallel_map(samples.len(), threads, |i| score(&samples[i]))
                         }
                     },
                     observe,

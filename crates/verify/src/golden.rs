@@ -1,7 +1,8 @@
 //! Golden-trajectory regression: committed fixtures pin the exact
 //! per-iteration best-cost sequence (captured through
-//! [`match_telemetry::MemoryRecorder`]) of representative solver
-//! configurations on a fixed instance. Any change to an RNG stream,
+//! [`match_telemetry::MemoryRecorder`], or from the outcome's telemetry
+//! for entry points that take no recorder) of representative solver
+//! configurations on fixed instances. Any change to an RNG stream,
 //! sampling order, or update rule shows up as a trajectory diff — the
 //! check renders the first divergence instead of a bare "mismatch".
 //!
@@ -12,11 +13,13 @@
 
 use crate::report::{CheckResult, Pillar};
 use match_core::{
-    EvalBackend, Mapper, MappingInstance, MatchConfig, Matcher, MultilevelConfig, SamplerMode,
+    CapacityModel, EvalBackend, Mapper, MappingInstance, MatchConfig, Matcher, MultilevelConfig,
+    SamplerMode, StopToken,
 };
 use match_ga::{FastMapGa, GaConfig};
 use match_graph::gen::paper::PaperFamilyConfig;
 use match_graph::gen::topology::{TopologyConfig, TopologyKind};
+use match_graph::InstancePair;
 use match_multilevel::MultilevelMapper;
 use match_rngutil::{derive_seed_str, rng_from};
 use match_telemetry::MemoryRecorder;
@@ -41,6 +44,13 @@ enum Solver {
     GaSequential,
     GaBatched,
     Multilevel,
+    /// `Matcher::run_many_to_one` (independent rows, `|V_t| ≠ |V_r|`).
+    ManyToOne(SamplerMode),
+    /// `Matcher::run_naive_penalized` (independent rows, `∞` for
+    /// non-bijections).
+    NaivePenalized(SamplerMode),
+    /// `Matcher::run_capacitated_controlled` at `γ = 1`, traced.
+    Capacitated(SamplerMode),
 }
 
 /// Which instance family a fixture solves over.
@@ -48,6 +58,8 @@ enum Solver {
 enum Family {
     /// The shared paper-family instance.
     Paper,
+    /// A rectangular paper-family instance: 12 tasks on 4 resources.
+    Rectangular,
     /// A topology-aware platform (hop-distance link costs).
     Topology(TopologyKind),
 }
@@ -64,9 +76,11 @@ pub struct FixtureSpec {
 
 /// The committed fixtures: both sampling pipelines of both iterative
 /// solver families and the multilevel driver's coarsen–solve–refine
-/// trajectory on the paper-family instance, plus the batched CE
-/// trajectory on each of the four topology-aware platforms.
-pub const FIXTURES: [FixtureSpec; 9] = [
+/// trajectory on the paper-family instance, the batched CE trajectory
+/// on each of the four topology-aware platforms, and both sampling
+/// pipelines of the many-to-one, naive-penalised and capacitated CE
+/// objectives.
+pub const FIXTURES: [FixtureSpec; 15] = [
     FixtureSpec {
         name: "ce-sequential-n8",
         solver: Solver::CeSequential,
@@ -112,6 +126,36 @@ pub const FIXTURES: [FixtureSpec; 9] = [
         solver: Solver::CeBatched,
         family: Family::Topology(TopologyKind::Dragonfly),
     },
+    FixtureSpec {
+        name: "many-to-one-sequential-12x4",
+        solver: Solver::ManyToOne(SamplerMode::Sequential),
+        family: Family::Rectangular,
+    },
+    FixtureSpec {
+        name: "many-to-one-batched-12x4",
+        solver: Solver::ManyToOne(SamplerMode::Batched),
+        family: Family::Rectangular,
+    },
+    FixtureSpec {
+        name: "naive-sequential-n8",
+        solver: Solver::NaivePenalized(SamplerMode::Sequential),
+        family: Family::Paper,
+    },
+    FixtureSpec {
+        name: "naive-batched-n8",
+        solver: Solver::NaivePenalized(SamplerMode::Batched),
+        family: Family::Paper,
+    },
+    FixtureSpec {
+        name: "capacitated-sequential-grid-n8",
+        solver: Solver::Capacitated(SamplerMode::Sequential),
+        family: Family::Topology(TopologyKind::Grid),
+    },
+    FixtureSpec {
+        name: "capacitated-batched-grid-n8",
+        solver: Solver::Capacitated(SamplerMode::Batched),
+        family: Family::Topology(TopologyKind::Grid),
+    },
 ];
 
 /// What a fixture pins: the final mapping plus the raw per-iteration
@@ -135,6 +179,13 @@ fn fixture_instance(family: Family) -> MappingInstance {
             let pair = PaperFamilyConfig::new(FIXTURE_N).generate(&mut rng);
             MappingInstance::from_pair(&pair)
         }
+        Family::Rectangular => {
+            let gen_seed = derive_seed_str(FIXTURE_MASTER, "gen/paper-12x4");
+            let mut rng = StdRng::seed_from_u64(gen_seed);
+            let tig = PaperFamilyConfig::new(12).generate_tig(&mut rng);
+            let resources = PaperFamilyConfig::new(4).generate_platform(&mut rng);
+            MappingInstance::from_pair(&InstancePair { tig, resources })
+        }
         Family::Topology(kind) => {
             let gen_seed =
                 derive_seed_str(FIXTURE_MASTER, &format!("gen/{}-n{FIXTURE_N}", kind.name()));
@@ -145,8 +196,24 @@ fn fixture_instance(family: Family) -> MappingInstance {
     }
 }
 
+/// The capacities a capacitated fixture solves under: the topology's own
+/// [`TopologyConfig::generate_caps`] spec at penalty weight `γ = 1`.
+fn fixture_caps(family: Family) -> CapacityModel {
+    let Family::Topology(kind) = family else {
+        panic!("capacitated fixtures need a topology family");
+    };
+    let caps_seed = derive_seed_str(
+        FIXTURE_MASTER,
+        &format!("caps/{}-n{FIXTURE_N}", kind.name()),
+    );
+    let spec =
+        TopologyConfig::new(kind, FIXTURE_N).generate_caps(&mut StdRng::seed_from_u64(caps_seed));
+    CapacityModel::from_spec(&spec, 1.0)
+}
+
 /// Re-run a fixture's solver and capture its trajectory through a
-/// [`MemoryRecorder`].
+/// [`MemoryRecorder`] (or, for entry points that take no recorder, from
+/// the outcome's per-iteration telemetry).
 pub fn capture(spec: &FixtureSpec) -> Trajectory {
     capture_with_backend(spec, EvalBackend::default())
 }
@@ -160,6 +227,13 @@ pub fn capture_with_backend(spec: &FixtureSpec, backend: EvalBackend) -> Traject
     let run_seed = derive_seed_str(FIXTURE_MASTER, &format!("run/{}", spec.name));
     let mut rng = rng_from(run_seed, 0);
     let mut recorder = MemoryRecorder::new();
+    let ce_config = |sampler: SamplerMode| MatchConfig {
+        threads: 2,
+        sampler,
+        backend,
+        max_iters: 40,
+        ..MatchConfig::default()
+    };
     let (mapping, final_cost) = match spec.solver {
         Solver::CeSequential | Solver::CeBatched => {
             let sampler = if spec.solver == Solver::CeSequential {
@@ -167,14 +241,26 @@ pub fn capture_with_backend(spec: &FixtureSpec, backend: EvalBackend) -> Traject
             } else {
                 SamplerMode::Batched
             };
-            let cfg = MatchConfig {
-                threads: 2,
-                sampler,
-                backend,
-                max_iters: 40,
-                ..MatchConfig::default()
-            };
-            let out = Matcher::new(cfg).run_traced(&inst, &mut rng, &mut recorder);
+            let out = Matcher::new(ce_config(sampler)).run_traced(&inst, &mut rng, &mut recorder);
+            (out.mapping.as_slice().to_vec(), out.cost)
+        }
+        Solver::ManyToOne(sampler) => {
+            let out = Matcher::new(ce_config(sampler)).run_many_to_one(&inst, &mut rng);
+            return untraced_trajectory(out);
+        }
+        Solver::NaivePenalized(sampler) => {
+            let out = Matcher::new(ce_config(sampler)).run_naive_penalized(&inst, &mut rng);
+            return untraced_trajectory(out);
+        }
+        Solver::Capacitated(sampler) => {
+            let caps = fixture_caps(spec.family);
+            let out = Matcher::new(ce_config(sampler)).run_capacitated_controlled(
+                &inst,
+                &caps,
+                &mut rng,
+                &mut recorder,
+                &StopToken::never(),
+            );
             (out.mapping.as_slice().to_vec(), out.cost)
         }
         Solver::GaSequential | Solver::GaBatched => {
@@ -213,6 +299,17 @@ pub fn capture_with_backend(spec: &FixtureSpec, backend: EvalBackend) -> Traject
         mapping,
         final_cost,
         iter_bests: recorder.iter_bests(),
+    }
+}
+
+/// The trajectory of a MaTCH entry point that takes no recorder: the
+/// per-iteration bests come from [`match_core::MatchOutcome::telemetry`],
+/// which carries the same values a recorder's iteration events would.
+fn untraced_trajectory(out: match_core::MatchOutcome) -> Trajectory {
+    Trajectory {
+        mapping: out.mapping.as_slice().to_vec(),
+        final_cost: out.cost,
+        iter_bests: out.telemetry.iters.iter().map(|s| s.best).collect(),
     }
 }
 
