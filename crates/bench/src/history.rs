@@ -12,7 +12,7 @@
 //! where `bench` is the artefact compacted onto one line. The file
 //! stays `jq`-friendly: `jq -s 'map(.bench.matcher_mt.speedup)'`.
 
-use std::fmt::Write as _;
+use match_telemetry::json::push_str;
 
 /// Compact a JSON document onto one line: drop all whitespace that sits
 /// outside string literals. Content inside strings (including escaped
@@ -41,37 +41,20 @@ pub fn compact_json(pretty: &str) -> String {
     out
 }
 
-/// Escape a string for embedding inside a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Build one history line (no trailing newline) for a bench artefact.
 ///
 /// `source` is the artefact's file name, `label` identifies the run
 /// (commit SHA in CI, `local` otherwise), and `body` is the artefact's
 /// JSON text, compacted before embedding.
 pub fn history_line(label: &str, source: &str, body: &str) -> String {
-    format!(
-        "{{\"label\":\"{}\",\"source\":\"{}\",\"bench\":{}}}",
-        escape(label),
-        escape(source),
-        compact_json(body)
-    )
+    let mut line = String::from("{\"label\":");
+    push_str(&mut line, label);
+    line.push_str(",\"source\":");
+    push_str(&mut line, source);
+    line.push_str(",\"bench\":");
+    line.push_str(&compact_json(body));
+    line.push('}');
+    line
 }
 
 #[cfg(test)]

@@ -1,5 +1,7 @@
 //! The `matchctl` subcommands.
 
+use std::fmt::Write as _;
+
 use crate::args::{Args, CliError};
 use crate::mapping_io::{mapping_from_text, mapping_to_text};
 use match_baselines::{
@@ -21,6 +23,7 @@ use match_graph::{ResourceGraph, TaskGraph};
 use match_multilevel::MultilevelMapper;
 use match_serve::{Client, RemapRequest, Request, Response, ServeConfig, Server, SolveRequest};
 use match_sim::{run_dynamic, DynamicConfig, SimConfig, SimMode, Simulator};
+use match_telemetry::json::{push_f64, push_str};
 use match_telemetry::{read_trace_file, JsonlRecorder, NullRecorder, TraceSummary};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -1029,30 +1032,40 @@ fn response_id(resp: &Response) -> &str {
 
 /// One JSONL record per response for `submit --trace-out`.
 fn response_trace_line(resp: &Response) -> String {
+    let mut s = String::from("{\"id\":");
     match resp {
-        Response::Solved(r) => format!(
-            "{{\"id\":\"{}\",\"algo\":\"{}\",\"seed\":{},\"cost\":{},\"cached\":{},\
-             \"warm\":{},\"iterations\":{},\"iterations_saved\":{},\"evaluations\":{},\
-             \"queue_wait_ns\":{},\"solve_ns\":{}}}",
-            r.id,
-            r.algo,
-            r.seed,
-            r.cost,
-            r.cached,
-            r.warm,
-            r.iterations,
-            r.iterations_saved,
-            r.evaluations,
-            r.queue_wait_ns,
-            r.solve_ns,
-        ),
-        Response::Rejected { id, .. } => format!("{{\"id\":\"{id}\",\"rejected\":true}}"),
-        Response::Error { id, error } => format!(
-            "{{\"id\":\"{id}\",\"error\":\"{}\"}}",
-            error.replace('\\', "\\\\").replace('"', "\\\"")
-        ),
-        _ => "{}".to_string(),
+        Response::Solved(r) => {
+            push_str(&mut s, &r.id);
+            s.push_str(",\"algo\":");
+            push_str(&mut s, &r.algo);
+            let _ = write!(s, ",\"seed\":{},\"cost\":", r.seed);
+            push_f64(&mut s, r.cost);
+            let _ = write!(
+                s,
+                ",\"cached\":{},\"warm\":{},\"iterations\":{},\"iterations_saved\":{},\
+                 \"evaluations\":{},\"queue_wait_ns\":{},\"solve_ns\":{}}}",
+                r.cached,
+                r.warm,
+                r.iterations,
+                r.iterations_saved,
+                r.evaluations,
+                r.queue_wait_ns,
+                r.solve_ns,
+            );
+        }
+        Response::Rejected { id, .. } => {
+            push_str(&mut s, id);
+            s.push_str(",\"rejected\":true}");
+        }
+        Response::Error { id, error } => {
+            push_str(&mut s, id);
+            s.push_str(",\"error\":");
+            push_str(&mut s, error);
+            s.push('}');
+        }
+        _ => return "{}".to_string(),
     }
+    s
 }
 
 /// Pipeline `reqs` over `concurrency` connections (round-robin), each
@@ -2301,6 +2314,8 @@ mod tests {
 
     #[test]
     fn submit_batches_concurrently_and_writes_a_trace() {
+        // An id that needs escaping: a quote, a backslash, non-BMP text.
+        const ID: &str = "burst\"\\😀";
         let dir = tmpdir();
         let tig = dir.join("t.txt");
         let plat = dir.join("p.txt");
@@ -2354,7 +2369,7 @@ mod tests {
             "--algo",
             "greedy",
             "--id",
-            "burst",
+            ID,
             "--count",
             "4",
             "--concurrency",
@@ -2364,19 +2379,23 @@ mod tests {
         ])
         .unwrap();
         // Small batch: per-response lines plus the aggregate summary.
-        assert!(out.contains("burst-0"), "{out}");
-        assert!(out.contains("burst-3"), "{out}");
+        assert!(out.contains(&format!("{ID}-0")), "{out}");
+        assert!(out.contains(&format!("{ID}-3")), "{out}");
         assert!(out.contains("4 requests over 2 connection(s)"), "{out}");
         assert!(out.contains("4 solved"), "{out}");
         assert!(out.contains("p50"), "{out}");
         // The replay trace has one JSONL record per request, in
-        // submission order.
+        // submission order, each a JSON object the shared parser reads
+        // back with the id intact.
         let trace = std::fs::read_to_string(&trace_out).unwrap();
         let lines: Vec<&str> = trace.lines().collect();
         assert_eq!(lines.len(), 4, "{trace}");
         for (i, line) in lines.iter().enumerate() {
-            assert!(line.contains(&format!("\"id\":\"burst-{i}\"")), "{trace}");
-            assert!(line.contains("\"solve_ns\":"), "{trace}");
+            let record = match_telemetry::json::parse_object(line).expect(line);
+            assert_eq!(record.string("id").unwrap(), format!("{ID}-{i}"), "{trace}");
+            assert_eq!(record.string("algo").unwrap(), "Greedy", "{trace}");
+            assert!(record.f64("cost").unwrap().is_finite(), "{trace}");
+            assert!(record.u64("solve_ns").is_ok(), "{trace}");
         }
         // Distinct seeds per expanded request: nothing was cache-served.
         assert!(out.contains("0 cached"), "{out}");

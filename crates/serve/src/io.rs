@@ -34,7 +34,7 @@ use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use crate::protocol::{encode_response_line, Response};
+use crate::protocol::{encode_response_line, Response, NOT_UTF8};
 
 /// Parsed-line handler supplied by the server: dispatch one request
 /// line, sending any responses through the connection's channel.
@@ -51,6 +51,8 @@ struct Conn {
     stream: TcpStream,
     /// Bytes read but not yet split into complete lines.
     rbuf: Vec<u8>,
+    /// Prefix of `rbuf` already searched for a newline (it holds none).
+    scanned: usize,
     /// Encoded responses not yet fully written.
     wbuf: Vec<u8>,
     /// Prefix of `wbuf` already written to the socket.
@@ -69,6 +71,7 @@ impl Conn {
         Ok(Conn {
             stream,
             rbuf: Vec::new(),
+            scanned: 0,
             wbuf: Vec::new(),
             wpos: 0,
             tx: Some(tx),
@@ -107,18 +110,30 @@ impl Conn {
                     }
                 }
             }
-            while let Some(nl) = self.rbuf.iter().position(|&b| b == b'\n') {
-                let line: Vec<u8> = self.rbuf.drain(..=nl).collect();
+            // Search only the bytes that arrived since the last pass, and
+            // drop the consumed lines once: a long line costs linear time
+            // however many reads it spans.
+            let mut start = 0;
+            while let Some(off) = self.rbuf[self.scanned..].iter().position(|&b| b == b'\n') {
+                let end = self.scanned + off;
+                self.scanned = end + 1;
                 progress = true;
-                if let Ok(text) = std::str::from_utf8(&line) {
-                    let text = text.trim();
-                    if !text.is_empty() {
-                        if let Some(tx) = &self.tx {
-                            dispatch(text, tx);
+                if let Some(tx) = &self.tx {
+                    match std::str::from_utf8(&self.rbuf[start..end]).map(str::trim) {
+                        Ok("") => {}
+                        Ok(text) => dispatch(text, tx),
+                        Err(_) => {
+                            let _ = tx.send(Response::Error {
+                                id: String::new(),
+                                error: NOT_UTF8.to_string(),
+                            });
                         }
                     }
                 }
+                start = end + 1;
             }
+            self.rbuf.drain(..start);
+            self.scanned = self.rbuf.len();
             if eof {
                 // Half-close: stop reading, keep writing what we owe.
                 self.tx = None;

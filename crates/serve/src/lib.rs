@@ -56,8 +56,7 @@ pub use hash::{instance_hash, job_key, structure_hash};
 pub use http::http_get;
 pub use protocol::{
     encode_request, encode_request_line, encode_response, encode_response_line, parse_request,
-    parse_response, ProtoError, RemapRequest, Request, Response, SolveRequest, SolveResponse,
-    StatsResponse,
+    parse_response, RemapRequest, Request, Response, SolveRequest, SolveResponse, StatsResponse,
 };
 pub use queue::{JobQueue, PushError};
 pub use router::{Router, RouterConfig, RouterHandle};

@@ -2,10 +2,12 @@
 //!
 //! One request per line, one response per line. Requests and responses
 //! are flat JSON objects (the only nesting is the `"mapping"` array of
-//! resource indices in a solve response), hand-encoded and hand-parsed
-//! in the same zero-dependency style as `match-telemetry`'s trace
-//! format. Responses carry the request `id`, so clients may pipeline
-//! requests on one connection and match replies out of order.
+//! resource indices in a solve response). They are written and read with
+//! [`match_telemetry::json`], the codec the solver traces use: this
+//! module only maps message types onto its writers, parser and getters,
+//! and decode failures are its [`ParseError`]. Responses carry the
+//! request `id`, so clients may pipeline requests on one connection and
+//! match replies out of order.
 //!
 //! ## Requests
 //!
@@ -51,34 +53,13 @@
 //! reports the observed depth and the cap so clients can back off
 //! proportionally.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Errors produced when decoding a protocol line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ProtoError {
-    /// The line is not a flat JSON object of the expected shape.
-    Syntax(String),
-    /// A required field is absent.
-    MissingField(&'static str),
-    /// A field is present but has the wrong type.
-    BadType(&'static str),
-    /// The `"op"` / `"status"` tag names no known message.
-    UnknownTag(String),
-}
+use match_telemetry::json::{parse_object, push_f64, push_str, Object, ParseError};
 
-impl std::fmt::Display for ProtoError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ProtoError::Syntax(m) => write!(f, "protocol syntax error: {m}"),
-            ProtoError::MissingField(name) => write!(f, "missing field `{name}`"),
-            ProtoError::BadType(name) => write!(f, "field `{name}` has the wrong type"),
-            ProtoError::UnknownTag(tag) => write!(f, "unknown message `{tag}`"),
-        }
-    }
-}
-
-impl std::error::Error for ProtoError {}
+/// The error a request line that is not UTF-8 is answered with (its id
+/// is unreadable, so the reply carries `id: ""`).
+pub(crate) const NOT_UTF8: &str = "request line is not valid UTF-8";
 
 /// A solve request: one instance, one algorithm, one seed.
 #[derive(Debug, Clone, PartialEq)]
@@ -231,53 +212,35 @@ pub enum Response {
     Bye,
 }
 
-fn push_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Append `[i,j,…]`.
+fn push_indices(out: &mut String, xs: &[usize]) {
+    out.push('[');
+    for (i, x) in xs.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
         }
+        let _ = write!(out, "{x}");
     }
-    out.push('"');
-}
-
-fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else if v.is_nan() {
-        out.push_str("\"nan\"");
-    } else if v > 0.0 {
-        out.push_str("\"inf\"");
-    } else {
-        out.push_str("\"-inf\"");
-    }
+    out.push(']');
 }
 
 fn push_solve_fields(s: &mut String, op: &str, r: &SolveRequest) {
     let _ = write!(s, "{{\"op\":\"{op}\",\"id\":");
-    push_escaped(s, &r.id);
+    push_str(s, &r.id);
     s.push_str(",\"algo\":");
-    push_escaped(s, &r.algo);
+    push_str(s, &r.algo);
     let _ = write!(s, ",\"seed\":{}", r.seed);
     if let Some(d) = r.deadline_ms {
         let _ = write!(s, ",\"deadline_ms\":{d}");
     }
     if let Some(b) = &r.backend {
         s.push_str(",\"backend\":");
-        push_escaped(s, b);
+        push_str(s, b);
     }
     s.push_str(",\"tig\":");
-    push_escaped(s, &r.tig);
+    push_str(s, &r.tig);
     s.push_str(",\"platform\":");
-    push_escaped(s, &r.platform);
+    push_str(s, &r.platform);
 }
 
 /// Encode a request as a single JSON line (no trailing newline).
@@ -290,14 +253,9 @@ pub fn encode_request(req: &Request) -> String {
         }
         Request::Remap(r) => {
             push_solve_fields(&mut s, "remap", &r.solve);
-            let _ = write!(s, ",\"mu\":{},\"prior\":[", r.mu);
-            for (i, p) in r.prior.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                let _ = write!(s, "{p}");
-            }
-            s.push_str("]}");
+            let _ = write!(s, ",\"mu\":{},\"prior\":", r.mu);
+            push_indices(&mut s, &r.prior);
+            s.push('}');
         }
         Request::Stats => s.push_str("{\"op\":\"stats\"}"),
         Request::Metrics => s.push_str("{\"op\":\"metrics\"}"),
@@ -330,21 +288,21 @@ pub fn encode_response(resp: &Response) -> String {
     match resp {
         Response::Solved(r) => {
             s.push_str("{\"status\":\"ok\",\"id\":");
-            push_escaped(&mut s, &r.id);
+            push_str(&mut s, &r.id);
             s.push_str(",\"trace_id\":");
-            push_escaped(&mut s, &r.trace_id);
+            push_str(&mut s, &r.trace_id);
             s.push_str(",\"algo\":");
-            push_escaped(&mut s, &r.algo);
+            push_str(&mut s, &r.algo);
             let _ = write!(s, ",\"seed\":{}", r.seed);
             s.push_str(",\"backend\":");
-            push_escaped(&mut s, &r.backend);
+            push_str(&mut s, &r.backend);
             s.push_str(",\"cost\":");
             push_f64(&mut s, r.cost);
             let _ = write!(
                 s,
                 ",\"cached\":{},\"cancelled\":{},\"warm\":{},\"iterations_saved\":{},\
                  \"evaluations\":{},\"iterations\":{},\
-                 \"queue_wait_ns\":{},\"solve_ns\":{},\"migrated_tasks\":{},\"mapping\":[",
+                 \"queue_wait_ns\":{},\"solve_ns\":{},\"migrated_tasks\":{},\"mapping\":",
                 r.cached,
                 r.cancelled,
                 r.warm,
@@ -355,13 +313,8 @@ pub fn encode_response(resp: &Response) -> String {
                 r.solve_ns,
                 r.migrated_tasks
             );
-            for (i, m) in r.mapping.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                let _ = write!(s, "{m}");
-            }
-            s.push_str("]}");
+            push_indices(&mut s, &r.mapping);
+            s.push('}');
         }
         Response::Rejected {
             id,
@@ -369,7 +322,7 @@ pub fn encode_response(resp: &Response) -> String {
             queue_cap,
         } => {
             s.push_str("{\"status\":\"rejected\",\"id\":");
-            push_escaped(&mut s, id);
+            push_str(&mut s, id);
             let _ = write!(
                 s,
                 ",\"error\":\"queue full\",\"queue_depth\":{queue_depth},\"queue_cap\":{queue_cap}}}"
@@ -377,9 +330,9 @@ pub fn encode_response(resp: &Response) -> String {
         }
         Response::Error { id, error } => {
             s.push_str("{\"status\":\"error\",\"id\":");
-            push_escaped(&mut s, id);
+            push_str(&mut s, id);
             s.push_str(",\"error\":");
-            push_escaped(&mut s, error);
+            push_str(&mut s, error);
             s.push('}');
         }
         Response::Stats(st) => {
@@ -400,7 +353,7 @@ pub fn encode_response(resp: &Response) -> String {
         }
         Response::Metrics { text } => {
             s.push_str("{\"status\":\"metrics\",\"text\":");
-            push_escaped(&mut s, text);
+            push_str(&mut s, text);
             s.push('}');
         }
         Response::Bye => s.push_str("{\"status\":\"bye\"}"),
@@ -408,376 +361,83 @@ pub fn encode_response(resp: &Response) -> String {
     s
 }
 
-/// A decoded flat JSON value. Numbers keep their raw text so `u64`
-/// fields round-trip exactly; the only composite shape is an array of
-/// non-negative integers (the mapping vector).
-#[derive(Debug, Clone, PartialEq)]
-enum Val {
-    Str(String),
-    Num(String),
-    Bool(bool),
-    Arr(Vec<u64>),
-    Null,
-}
-
-struct Scanner<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Scanner<'a> {
-    fn new(s: &'a str) -> Self {
-        Scanner {
-            bytes: s.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn err(&self, msg: &str) -> ProtoError {
-        ProtoError::Syntax(format!("{msg} at byte {}", self.pos))
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\r' | b'\n'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), ProtoError> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected `{}`", b as char)))
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn keyword(&mut self, word: &'static [u8]) -> Result<(), ProtoError> {
-        if self.bytes[self.pos..].starts_with(word) {
-            self.pos += word.len();
-            Ok(())
-        } else {
-            Err(self.err(&format!(
-                "expected `{}`",
-                std::str::from_utf8(word).unwrap_or("?")
-            )))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ProtoError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let b = *self
-                .bytes
-                .get(self.pos)
-                .ok_or_else(|| self.err("unterminated string"))?;
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = *self
-                        .bytes
-                        .get(self.pos)
-                        .ok_or_else(|| self.err("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            self.pos += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex)
-                                    .map_err(|_| self.err("non-utf8 \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| self.err("bad \\u escape"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("invalid \\u code point"))?,
-                            );
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                _ => {
-                    // Re-sync to char boundary for multi-byte UTF-8.
-                    let start = self.pos - 1;
-                    let mut end = self.pos;
-                    while end < self.bytes.len() && (self.bytes[end] & 0xC0) == 0x80 {
-                        end += 1;
-                    }
-                    let chunk = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    out.push_str(chunk);
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<String, ProtoError> {
-        let start = self.pos;
-        self.pos += 1;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .map(str::to_string)
-            .map_err(|_| self.err("invalid number"))
-    }
-
-    fn value(&mut self) -> Result<Val, ProtoError> {
-        match self.peek() {
-            Some(b'"') => Ok(Val::Str(self.string()?)),
-            Some(b'n') => self.keyword(b"null").map(|()| Val::Null),
-            Some(b't') => self.keyword(b"true").map(|()| Val::Bool(true)),
-            Some(b'f') => self.keyword(b"false").map(|()| Val::Bool(false)),
-            Some(b'[') => {
-                self.pos += 1;
-                let mut arr = Vec::new();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Val::Arr(arr));
-                }
-                loop {
-                    match self.peek() {
-                        Some(b) if b.is_ascii_digit() => {
-                            let raw = self.number()?;
-                            arr.push(
-                                raw.parse()
-                                    .map_err(|_| self.err("non-integer array element"))?,
-                            );
-                        }
-                        _ => return Err(self.err("expected integer array element")),
-                    }
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            break;
-                        }
-                        _ => return Err(self.err("expected `,` or `]`")),
-                    }
-                }
-                Ok(Val::Arr(arr))
-            }
-            Some(b) if b == b'-' || b.is_ascii_digit() => Ok(Val::Num(self.number()?)),
-            _ => Err(self.err("expected string, number, bool, array, or null")),
-        }
-    }
-
-    fn object(&mut self) -> Result<BTreeMap<String, Val>, ProtoError> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-        } else {
-            loop {
-                let key = self.string()?;
-                self.expect(b':')?;
-                let value = self.value()?;
-                map.insert(key, value);
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        break;
-                    }
-                    _ => return Err(self.err("expected `,` or `}`")),
-                }
-            }
-        }
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(self.err("trailing data after object"));
-        }
-        Ok(map)
-    }
-}
-
-fn get_string(map: &BTreeMap<String, Val>, field: &'static str) -> Result<String, ProtoError> {
-    match map.get(field) {
-        Some(Val::Str(s)) => Ok(s.clone()),
-        Some(_) => Err(ProtoError::BadType(field)),
-        None => Err(ProtoError::MissingField(field)),
-    }
-}
-
-fn get_u64(map: &BTreeMap<String, Val>, field: &'static str) -> Result<u64, ProtoError> {
-    match map.get(field) {
-        Some(Val::Num(raw)) => raw.parse().map_err(|_| ProtoError::BadType(field)),
-        Some(_) => Err(ProtoError::BadType(field)),
-        None => Err(ProtoError::MissingField(field)),
-    }
-}
-
-fn get_opt_string(
-    map: &BTreeMap<String, Val>,
-    field: &'static str,
-) -> Result<Option<String>, ProtoError> {
-    match map.get(field) {
-        Some(Val::Null) | None => Ok(None),
-        Some(Val::Str(s)) => Ok(Some(s.clone())),
-        Some(_) => Err(ProtoError::BadType(field)),
-    }
-}
-
-fn get_opt_u64(
-    map: &BTreeMap<String, Val>,
-    field: &'static str,
-) -> Result<Option<u64>, ProtoError> {
-    match map.get(field) {
-        Some(Val::Null) | None => Ok(None),
-        Some(Val::Num(raw)) => raw
-            .parse()
-            .map(Some)
-            .map_err(|_| ProtoError::BadType(field)),
-        Some(_) => Err(ProtoError::BadType(field)),
-    }
-}
-
-fn get_f64(map: &BTreeMap<String, Val>, field: &'static str) -> Result<f64, ProtoError> {
-    match map.get(field) {
-        Some(Val::Num(raw)) => raw.parse().map_err(|_| ProtoError::BadType(field)),
-        Some(Val::Str(s)) => match s.as_str() {
-            "inf" => Ok(f64::INFINITY),
-            "-inf" => Ok(f64::NEG_INFINITY),
-            "nan" => Ok(f64::NAN),
-            _ => Err(ProtoError::BadType(field)),
-        },
-        Some(_) => Err(ProtoError::BadType(field)),
-        None => Err(ProtoError::MissingField(field)),
-    }
-}
-
-fn get_bool(map: &BTreeMap<String, Val>, field: &'static str) -> Result<bool, ProtoError> {
-    match map.get(field) {
-        Some(Val::Bool(b)) => Ok(*b),
-        Some(_) => Err(ProtoError::BadType(field)),
-        None => Err(ProtoError::MissingField(field)),
-    }
-}
-
-/// Optional boolean defaulting to `false` — for fields added after the
-/// v1 wire format shipped, so a new client can read an old server.
-fn get_opt_bool(map: &BTreeMap<String, Val>, field: &'static str) -> Result<bool, ProtoError> {
-    match map.get(field) {
-        Some(Val::Bool(b)) => Ok(*b),
-        Some(Val::Null) | None => Ok(false),
-        Some(_) => Err(ProtoError::BadType(field)),
-    }
-}
-
-fn get_mapping(map: &BTreeMap<String, Val>, field: &'static str) -> Result<Vec<usize>, ProtoError> {
-    match map.get(field) {
-        Some(Val::Arr(a)) => Ok(a.iter().map(|&v| v as usize).collect()),
-        Some(_) => Err(ProtoError::BadType(field)),
-        None => Err(ProtoError::MissingField(field)),
-    }
-}
-
-fn parse_solve_fields(map: &BTreeMap<String, Val>) -> Result<SolveRequest, ProtoError> {
+fn parse_solve_fields(obj: &Object) -> Result<SolveRequest, ParseError> {
     Ok(SolveRequest {
-        id: get_string(map, "id")?,
-        algo: get_string(map, "algo")?,
-        seed: get_u64(map, "seed")?,
-        deadline_ms: get_opt_u64(map, "deadline_ms")?,
-        backend: get_opt_string(map, "backend")?,
-        tig: get_string(map, "tig")?,
-        platform: get_string(map, "platform")?,
+        id: obj.string("id")?,
+        algo: obj.string("algo")?,
+        seed: obj.u64("seed")?,
+        deadline_ms: obj.opt_u64("deadline_ms")?,
+        backend: obj.opt_string("backend")?,
+        tig: obj.string("tig")?,
+        platform: obj.string("platform")?,
     })
 }
 
 /// Decode one client→server line.
-pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
-    let map = Scanner::new(line).object()?;
-    let op = get_string(&map, "op")?;
-    match op.as_str() {
-        "solve" => Ok(Request::Solve(parse_solve_fields(&map)?)),
+pub fn parse_request(line: &str) -> Result<Request, ParseError> {
+    let obj = parse_object(line)?;
+    match obj.string("op")?.as_str() {
+        "solve" => Ok(Request::Solve(parse_solve_fields(&obj)?)),
         "remap" => Ok(Request::Remap(RemapRequest {
-            solve: parse_solve_fields(&map)?,
-            prior: get_mapping(&map, "prior")?,
-            mu: get_opt_u64(&map, "mu")?.unwrap_or(0),
+            solve: parse_solve_fields(&obj)?,
+            prior: obj.indices("prior")?,
+            mu: obj.opt_u64("mu")?.unwrap_or(0),
         })),
         "stats" => Ok(Request::Stats),
         "metrics" => Ok(Request::Metrics),
         "shutdown" => Ok(Request::Shutdown),
-        other => Err(ProtoError::UnknownTag(other.to_string())),
+        other => Err(ParseError::UnknownTag(other.to_string())),
     }
 }
 
-/// Decode one server→client line.
-pub fn parse_response(line: &str) -> Result<Response, ProtoError> {
-    let map = Scanner::new(line).object()?;
-    let status = get_string(&map, "status")?;
-    match status.as_str() {
+/// Decode one server→client line. Fields added after the first wire
+/// format (`warm`, `iterations_saved`, `migrated_tasks`) are optional
+/// and default to `false`/0, so a new client can read an old server.
+pub fn parse_response(line: &str) -> Result<Response, ParseError> {
+    let obj = parse_object(line)?;
+    match obj.string("status")?.as_str() {
         "ok" => Ok(Response::Solved(SolveResponse {
-            id: get_string(&map, "id")?,
-            trace_id: get_string(&map, "trace_id")?,
-            algo: get_string(&map, "algo")?,
-            seed: get_u64(&map, "seed")?,
-            backend: get_string(&map, "backend")?,
-            cost: get_f64(&map, "cost")?,
-            cached: get_bool(&map, "cached")?,
-            cancelled: get_bool(&map, "cancelled")?,
-            warm: get_opt_bool(&map, "warm")?,
-            iterations_saved: get_opt_u64(&map, "iterations_saved")?.unwrap_or(0),
-            evaluations: get_u64(&map, "evaluations")?,
-            iterations: get_u64(&map, "iterations")?,
-            queue_wait_ns: get_u64(&map, "queue_wait_ns")?,
-            solve_ns: get_u64(&map, "solve_ns")?,
-            migrated_tasks: get_opt_u64(&map, "migrated_tasks")?.unwrap_or(0),
-            mapping: get_mapping(&map, "mapping")?,
+            id: obj.string("id")?,
+            trace_id: obj.string("trace_id")?,
+            algo: obj.string("algo")?,
+            seed: obj.u64("seed")?,
+            backend: obj.string("backend")?,
+            cost: obj.f64("cost")?,
+            cached: obj.bool("cached")?,
+            cancelled: obj.bool("cancelled")?,
+            warm: obj.opt_bool("warm")?.unwrap_or(false),
+            iterations_saved: obj.opt_u64("iterations_saved")?.unwrap_or(0),
+            evaluations: obj.u64("evaluations")?,
+            iterations: obj.u64("iterations")?,
+            queue_wait_ns: obj.u64("queue_wait_ns")?,
+            solve_ns: obj.u64("solve_ns")?,
+            migrated_tasks: obj.opt_u64("migrated_tasks")?.unwrap_or(0),
+            mapping: obj.indices("mapping")?,
         })),
         "rejected" => Ok(Response::Rejected {
-            id: get_string(&map, "id")?,
-            queue_depth: get_u64(&map, "queue_depth")?,
-            queue_cap: get_u64(&map, "queue_cap")?,
+            id: obj.string("id")?,
+            queue_depth: obj.u64("queue_depth")?,
+            queue_cap: obj.u64("queue_cap")?,
         }),
         "error" => Ok(Response::Error {
-            id: get_string(&map, "id")?,
-            error: get_string(&map, "error")?,
+            id: obj.string("id")?,
+            error: obj.string("error")?,
         }),
         "stats" => Ok(Response::Stats(StatsResponse {
-            jobs: get_u64(&map, "jobs")?,
-            cache_hits: get_u64(&map, "cache_hits")?,
-            cache_misses: get_u64(&map, "cache_misses")?,
-            rejected: get_u64(&map, "rejected")?,
-            cancelled: get_u64(&map, "cancelled")?,
-            queue_depth: get_u64(&map, "queue_depth")?,
-            queue_cap: get_u64(&map, "queue_cap")?,
-            workers: get_u64(&map, "workers")?,
+            jobs: obj.u64("jobs")?,
+            cache_hits: obj.u64("cache_hits")?,
+            cache_misses: obj.u64("cache_misses")?,
+            rejected: obj.u64("rejected")?,
+            cancelled: obj.u64("cancelled")?,
+            queue_depth: obj.u64("queue_depth")?,
+            queue_cap: obj.u64("queue_cap")?,
+            workers: obj.u64("workers")?,
         })),
         "metrics" => Ok(Response::Metrics {
-            text: get_string(&map, "text")?,
+            text: obj.string("text")?,
         }),
         "bye" => Ok(Response::Bye),
-        other => Err(ProtoError::UnknownTag(other.to_string())),
+        other => Err(ParseError::UnknownTag(other.to_string())),
     }
 }
 

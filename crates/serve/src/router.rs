@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 use crate::client::Client;
 use crate::hash::instance_hash;
 use crate::protocol::{
-    encode_response_line, parse_request, RemapRequest, Request, Response, StatsResponse,
+    encode_response_line, parse_request, RemapRequest, Request, Response, StatsResponse, NOT_UTF8,
 };
 use crate::server::parse_instance;
 use crate::shard::SlotRing;
@@ -358,7 +358,7 @@ fn client_loop(stream: TcpStream, shared: &Arc<Shared>) {
     };
     let mut reader = BufReader::new(stream);
     let mut conns: HashMap<SocketAddr, BackendConn> = HashMap::new();
-    let mut line = String::new();
+    let mut buf = Vec::new();
 
     let send = |writer: &mut TcpStream, resp: &Response| {
         writer
@@ -372,9 +372,10 @@ fn client_loop(stream: TcpStream, shared: &Arc<Shared>) {
     };
 
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return,
+        // A read that times out mid-line leaves its bytes in `buf`; the
+        // next read appends the rest of the line.
+        match reader.read_until(b'\n', &mut buf) {
+            Ok(0) if buf.is_empty() => return,
             Ok(_) => {}
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
@@ -386,7 +387,14 @@ fn client_loop(stream: TcpStream, shared: &Arc<Shared>) {
             }
             Err(_) => return,
         }
-        let raw = line.trim().to_string();
+        let text = std::str::from_utf8(&buf).map(|t| t.trim().to_string());
+        buf.clear();
+        let Ok(raw) = text else {
+            if !send_error(&mut writer, shared, String::new(), NOT_UTF8.to_string()) {
+                return;
+            }
+            continue;
+        };
         if raw.is_empty() {
             continue;
         }

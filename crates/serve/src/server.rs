@@ -873,7 +873,9 @@ fn process_job(job: Job, ctx: &Ctx) {
             }
         }
         _ => {
-            let Some(mapper) = solvers::build_mapper_with(&job.algo, job.backend) else {
+            let Some(mapper) =
+                solvers::build_mapper_with(&job.algo, job.backend, ctx.solver_threads)
+            else {
                 // Unreachable: admission validated the name. Answer anyway.
                 let _ = job.resp.send(Response::Error {
                     id: job.id,

@@ -40,31 +40,23 @@ pub const KNOWN_ALGOS: &[&str] = &[
 /// Construct the solver a request named with the default (`Auto`)
 /// evaluation backend, or `None` for an unknown name.
 pub fn build_mapper(name: &str) -> Option<Box<dyn Mapper>> {
-    build_mapper_with(name, EvalBackend::Auto)
+    build_mapper_with(name, EvalBackend::Auto, None)
 }
 
 /// Construct the solver a request named, pinning the evaluation backend
 /// on the solvers with a batched pipeline (`match*`, `ga*`,
 /// `multilevel`); backends are bit-exact, so the other solvers can
-/// ignore it. `None` for an unknown name.
-pub fn build_mapper_with(name: &str, backend: EvalBackend) -> Option<Box<dyn Mapper>> {
+/// ignore it. CE-family solvers take their config from
+/// [`match_config_for`], `threads` included. `None` for an unknown name.
+pub fn build_mapper_with(
+    name: &str,
+    backend: EvalBackend,
+    threads: Option<usize>,
+) -> Option<Box<dyn Mapper>> {
+    if let Some(cfg) = match_config_for(name, backend, threads) {
+        return Some(Box::new(Matcher::new(cfg)));
+    }
     Some(match name {
-        // `match` resolves the sampler by thread count (`SamplerMode::Auto`);
-        // the suffixed names pin one pipeline for A/B runs through the daemon.
-        "match" => Box::new(Matcher::new(MatchConfig {
-            backend,
-            ..MatchConfig::default()
-        })),
-        "match-batched" => Box::new(Matcher::new(MatchConfig {
-            sampler: SamplerMode::Batched,
-            backend,
-            ..MatchConfig::default()
-        })),
-        "match-sequential" => Box::new(Matcher::new(MatchConfig {
-            sampler: SamplerMode::Sequential,
-            backend,
-            ..MatchConfig::default()
-        })),
         "islands" => Box::new(IslandMatcher::default()),
         // Coarsen–solve–refine driver: handles square and rectangular
         // instances alike, so it is deliberately absent from
@@ -75,7 +67,7 @@ pub fn build_mapper_with(name: &str, backend: EvalBackend) -> Option<Box<dyn Map
         })),
         // Plain `ga` keeps the library default (sequential, historical
         // stream); the suffixed names pin one generation pipeline for
-        // A/B runs through the daemon, like the match-* pair above.
+        // A/B runs through the daemon, like the match-* names.
         "ga" | "fastmap-ga" => Box::new(FastMapGa::new(GaConfig {
             backend,
             ..GaConfig::paper_default()
@@ -112,7 +104,9 @@ pub fn ce_family(name: &str) -> bool {
 /// The [`MatchConfig`] behind a CE-family algo name, with the
 /// evaluation backend pinned and the solver thread count optionally
 /// overridden — the daemon caps per-solve parallelism so co-located
-/// shards don't oversubscribe one host. `None` for non-CE names.
+/// shards don't oversubscribe one host. `match` resolves the sampler by
+/// thread count (`SamplerMode::Auto`); the suffixed names pin one
+/// pipeline for A/B runs through the daemon. `None` for non-CE names.
 pub fn match_config_for(
     name: &str,
     backend: EvalBackend,
@@ -171,7 +165,7 @@ mod tests {
             assert!(build_mapper(name).is_some(), "registry missing {name}");
             for backend in [EvalBackend::Auto, EvalBackend::Scalar, EvalBackend::Simd] {
                 assert!(
-                    build_mapper_with(name, backend).is_some(),
+                    build_mapper_with(name, backend, None).is_some(),
                     "registry missing {name} with backend {backend}"
                 );
             }

@@ -1168,3 +1168,118 @@ fn router_forwards_merges_and_survives_a_backend_death() {
     assert!(summary.routed >= 8);
     backend_a.wait().expect("backend a drained");
 }
+
+/// Write `bytes` to `addr` in `piece`-byte writes, half-close, and
+/// collect every reply line until the peer closes.
+fn replies_to(addr: std::net::SocketAddr, bytes: &[u8], piece: usize) -> Vec<Response> {
+    use std::io::{BufRead, BufReader, Write};
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    for chunk in bytes.chunks(piece) {
+        stream.write_all(chunk).expect("write");
+    }
+    stream
+        .shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
+    BufReader::new(stream)
+        .lines()
+        .map(|line| match_serve::parse_response(&line.expect("read")).expect("reply parses"))
+        .collect()
+}
+
+/// A line that is not UTF-8, then a valid one.
+const NOT_UTF8_PROBE: &[u8] = b"\xff\xfe bad\n{\"op\":\"stats\"}\n";
+
+/// A ~1 MB `stats` request, padded with a field the daemon ignores.
+fn megabyte_stats_line() -> Vec<u8> {
+    format!("{{\"op\":\"stats\",\"pad\":\"{}\"}}\n", "x".repeat(1 << 20)).into_bytes()
+}
+
+fn assert_error_then_stats(replies: &[Response]) {
+    assert_eq!(replies.len(), 2, "{replies:?}");
+    match &replies[0] {
+        Response::Error { id, error } => {
+            assert_eq!(id, "");
+            assert!(error.contains("UTF-8"), "{error}");
+        }
+        other => panic!("expected Error, got {other:?}"),
+    }
+    assert!(matches!(replies[1], Response::Stats(_)), "{replies:?}");
+}
+
+#[test]
+fn non_utf8_line_gets_an_error_and_the_next_line_an_answer() {
+    let handle = start(1, 4, 4);
+    assert_error_then_stats(&replies_to(handle.local_addr(), NOT_UTF8_PROBE, 4096));
+    handle.shutdown().expect("shutdown");
+}
+
+#[test]
+fn megabyte_line_in_small_writes_is_answered_once() {
+    let handle = start(1, 4, 4);
+    let replies = replies_to(handle.local_addr(), &megabyte_stats_line(), 4096);
+    assert_eq!(replies.len(), 1, "{replies:?}");
+    assert!(matches!(replies[0], Response::Stats(_)), "{replies:?}");
+    handle.shutdown().expect("shutdown");
+}
+
+#[test]
+fn router_answers_non_utf8_and_megabyte_lines() {
+    use match_serve::{Router, RouterConfig};
+    let backend = start(1, 4, 4);
+    let router = Router::start(RouterConfig {
+        addr: "127.0.0.1:0".into(),
+        backends: vec![backend.local_addr().to_string()],
+        ..RouterConfig::default()
+    })
+    .expect("router");
+    assert_error_then_stats(&replies_to(router.local_addr(), NOT_UTF8_PROBE, 4096));
+    let replies = replies_to(router.local_addr(), &megabyte_stats_line(), 4096);
+    assert_eq!(replies.len(), 1, "{replies:?}");
+    assert!(matches!(replies[0], Response::Stats(_)), "{replies:?}");
+    router.shutdown().expect("router shutdown");
+    backend.shutdown().expect("backend shutdown");
+}
+
+#[test]
+fn solver_threads_caps_cold_ce_solves() {
+    use match_core::{Mapper, MatchConfig, Matcher};
+    use rand::SeedableRng;
+    // With no warm store, a `match` solve must still run on the
+    // configured thread count: `SamplerMode::Auto` picks its pipeline by
+    // thread count at n >= 32, so the answer is the single-threaded
+    // matcher's.
+    let (tig, platform) = instance_text(32, 5);
+    let local = {
+        let inst = match_core::MappingInstance::new(
+            &match_graph::TaskGraph::new(match_graph::io::from_text(&tig).unwrap()).unwrap(),
+            &match_graph::ResourceGraph::new(match_graph::io::from_text(&platform).unwrap())
+                .unwrap(),
+        );
+        // Solve locally while the daemon solves: both take a while in
+        // a debug build.
+        std::thread::spawn(move || {
+            Matcher::new(MatchConfig {
+                threads: 1,
+                ..MatchConfig::default()
+            })
+            .map(&inst, &mut rand::rngs::StdRng::seed_from_u64(9))
+        })
+    };
+    let handle = Server::start(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        solver_threads: Some(1),
+        ..ServeConfig::default()
+    })
+    .expect("start");
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
+    let served = expect_solved(
+        client
+            .call(&solve("t1", "match", 9, &tig, &platform))
+            .expect("solve"),
+    );
+    handle.shutdown().expect("shutdown");
+    let local = local.join().expect("local solve");
+    assert_eq!(served.mapping, local.mapping.as_slice());
+    assert_eq!(served.cost.to_bits(), local.cost.to_bits());
+}

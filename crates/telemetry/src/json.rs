@@ -1,13 +1,19 @@
-//! Hand-rolled JSONL encoding for [`Event`] streams.
+//! The workspace's one JSON codec: flat objects, one per line.
 //!
-//! Each event becomes one flat JSON object per line with an `"ev"` tag
-//! field. The parser accepts exactly that shape (flat objects with
-//! string / number / null values), which keeps the crate dependency-free
-//! while still producing traces any standard JSON tool can consume.
+//! Every line the workspace writes is a flat JSON object built with
+//! [`push_str`] and [`push_f64`]: trace events here ([`to_json`]), the
+//! `match-serve` wire protocol, `matchctl submit --trace-out` records and
+//! bench history lines. Every line it reads goes through
+//! [`parse_object`] and the typed getters on [`Object`]. Values are
+//! strings, numbers (kept as raw text, so every `u64` is exact),
+//! `true`/`false`, `null`, and arrays of non-negative integers; nothing
+//! nests deeper. That keeps the crate dependency-free while producing
+//! lines any standard JSON tool can consume.
 //!
-//! Non-finite floats have no JSON number representation; they are
-//! encoded as the strings `"inf"`, `"-inf"`, and `"nan"` and decoded
-//! back to the corresponding `f64` values.
+//! Trace events carry an `"ev"` tag field and decode with
+//! [`parse_line`]. Non-finite floats have no JSON number representation;
+//! they are encoded as the strings `"inf"`, `"-inf"`, and `"nan"` and
+//! decoded back to the corresponding `f64` values.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -15,7 +21,7 @@ use std::fmt::Write as _;
 
 use crate::event::{Event, IterEvent, PoolEvent, SpanEvent};
 
-/// Errors produced when decoding a trace line.
+/// Errors produced when decoding a JSON line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParseError {
     /// The line is not a flat JSON object of the expected shape.
@@ -24,27 +30,19 @@ pub enum ParseError {
     MissingField(&'static str),
     /// A field is present but has the wrong type.
     BadType(&'static str),
-    /// The `"ev"` tag names no known event.
-    UnknownEvent(String),
-    /// An I/O failure while reading the trace.
+    /// The tag field (`"ev"`, `"op"`, `"status"`) names no known message.
+    UnknownTag(String),
+    /// An I/O failure while reading the lines.
     Io(String),
 }
 
 impl ParseError {
-    /// Attach a 1-based line number for trace-level error reports.
+    /// Attach a 1-based line number for multi-line error reports.
     pub fn at_line(self, lineno: usize) -> ParseError {
         match self {
             ParseError::Syntax(m) => ParseError::Syntax(format!("line {lineno}: {m}")),
-            ParseError::MissingField(f) => {
-                ParseError::Syntax(format!("line {lineno}: missing field `{f}`"))
-            }
-            ParseError::BadType(f) => {
-                ParseError::Syntax(format!("line {lineno}: bad type for field `{f}`"))
-            }
-            ParseError::UnknownEvent(t) => {
-                ParseError::Syntax(format!("line {lineno}: unknown event `{t}`"))
-            }
             ParseError::Io(m) => ParseError::Io(format!("line {lineno}: {m}")),
+            other => ParseError::Syntax(format!("line {lineno}: {other}")),
         }
     }
 }
@@ -52,18 +50,20 @@ impl ParseError {
 impl std::fmt::Display for ParseError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ParseError::Syntax(m) => write!(f, "trace syntax error: {m}"),
-            ParseError::MissingField(name) => write!(f, "trace line missing field `{name}`"),
-            ParseError::BadType(name) => write!(f, "trace field `{name}` has the wrong type"),
-            ParseError::UnknownEvent(tag) => write!(f, "unknown trace event `{tag}`"),
-            ParseError::Io(m) => write!(f, "trace i/o error: {m}"),
+            ParseError::Syntax(m) => write!(f, "JSON syntax error: {m}"),
+            ParseError::MissingField(name) => write!(f, "missing field `{name}`"),
+            ParseError::BadType(name) => write!(f, "field `{name}` has the wrong type"),
+            ParseError::UnknownTag(tag) => write!(f, "unknown message type `{tag}`"),
+            ParseError::Io(m) => write!(f, "i/o error: {m}"),
         }
     }
 }
 
 impl std::error::Error for ParseError {}
 
-fn push_escaped(out: &mut String, s: &str) {
+/// Append `s` as a quoted JSON string, escaping quotes, backslashes and
+/// control characters.
+pub fn push_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -81,7 +81,9 @@ fn push_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-fn push_f64(out: &mut String, v: f64) {
+/// Append `v` as a JSON number, or as the string `"inf"`, `"-inf"` or
+/// `"nan"` when it is not finite.
+pub fn push_f64(out: &mut String, v: f64) {
     if v.is_finite() {
         let _ = write!(out, "{v}");
     } else if v.is_nan() {
@@ -106,7 +108,7 @@ pub fn to_json(event: &Event) -> String {
             resources,
         } => {
             s.push_str(",\"solver\":");
-            push_escaped(&mut s, solver);
+            push_str(&mut s, solver);
             let _ = write!(s, ",\"tasks\":{tasks},\"resources\":{resources}");
         }
         Event::Iter(IterEvent {
@@ -134,7 +136,7 @@ pub fn to_json(event: &Event) -> String {
             wall_ns,
         }) => {
             s.push_str(",\"name\":");
-            push_escaped(&mut s, name);
+            push_str(&mut s, name);
             let _ = write!(s, ",\"iter\":{iter},\"wall_ns\":{wall_ns}");
         }
         Event::Pool(PoolEvent {
@@ -150,12 +152,12 @@ pub fn to_json(event: &Event) -> String {
         }
         Event::Counter { name, value } => {
             s.push_str(",\"name\":");
-            push_escaped(&mut s, name);
+            push_str(&mut s, name);
             let _ = write!(s, ",\"value\":{value}");
         }
         Event::Sample { name, value } => {
             s.push_str(",\"name\":");
-            push_escaped(&mut s, name);
+            push_str(&mut s, name);
             let _ = write!(s, ",\"value\":{value}");
         }
         Event::RunEnd {
@@ -182,20 +184,20 @@ enum Val {
     Str(String),
     /// Numbers keep their raw text so integer fields round-trip exactly.
     Num(String),
+    Bool(bool),
+    /// An array of non-negative integers (a mapping vector).
+    Arr(Vec<usize>),
     Null,
 }
 
 struct Scanner<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
 }
 
 impl<'a> Scanner<'a> {
-    fn new(s: &'a str) -> Self {
-        Scanner {
-            bytes: s.as_bytes(),
-            pos: 0,
-        }
+    fn bytes(&self) -> &'a [u8] {
+        self.src.as_bytes()
     }
 
     fn err(&self, msg: &str) -> ParseError {
@@ -204,7 +206,7 @@ impl<'a> Scanner<'a> {
 
     fn skip_ws(&mut self) {
         while self
-            .bytes
+            .bytes()
             .get(self.pos)
             .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\r' | b'\n'))
         {
@@ -214,7 +216,7 @@ impl<'a> Scanner<'a> {
 
     fn expect(&mut self, b: u8) -> Result<(), ParseError> {
         self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b) {
+        if self.bytes().get(self.pos) == Some(&b) {
             self.pos += 1;
             Ok(())
         } else {
@@ -224,67 +226,123 @@ impl<'a> Scanner<'a> {
 
     fn peek(&mut self) -> Option<u8> {
         self.skip_ws();
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
+    }
+
+    fn keyword(&mut self, word: &str) -> Result<(), ParseError> {
+        if self.bytes()[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            Ok(())
+        } else {
+            Err(self.err(&format!("expected `{word}`")))
+        }
     }
 
     fn string(&mut self) -> Result<String, ParseError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let b = *self
-                .bytes
+            // `"` and `\` are ASCII, so the run before either of them is
+            // whole UTF-8 and copies in one go.
+            let Some(run) = self.bytes()[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+            else {
+                self.pos = self.src.len();
+                return Err(self.err("unterminated string"));
+            };
+            out.push_str(&self.src[self.pos..self.pos + run]);
+            self.pos += run + 1;
+            if self.bytes()[self.pos - 1] == b'"' {
+                return Ok(out);
+            }
+            let esc = *self
+                .bytes()
                 .get(self.pos)
-                .ok_or_else(|| self.err("unterminated string"))?;
+                .ok_or_else(|| self.err("unterminated escape"))?;
             self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = *self
-                        .bytes
-                        .get(self.pos)
-                        .ok_or_else(|| self.err("unterminated escape"))?;
+            out.push(match esc {
+                b'"' => '"',
+                b'\\' => '\\',
+                b'/' => '/',
+                b'n' => '\n',
+                b'r' => '\r',
+                b't' => '\t',
+                b'b' => '\u{8}',
+                b'f' => '\u{c}',
+                b'u' => self.unicode_escape()?,
+                _ => return Err(self.err("unknown escape")),
+            });
+        }
+    }
+
+    /// The character of a `\u` escape, its `\u` already consumed. A
+    /// UTF-16 high surrogate must be followed by an escaped low one.
+    fn unicode_escape(&mut self) -> Result<char, ParseError> {
+        let mut code = self.hex4()?;
+        if (0xD800..0xDC00).contains(&code) {
+            let low = if self.bytes()[self.pos..].starts_with(b"\\u") {
+                self.pos += 2;
+                self.hex4()?
+            } else {
+                0
+            };
+            if !(0xDC00..0xE000).contains(&low) {
+                return Err(self.err("unpaired surrogate in \\u escape"));
+            }
+            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+        }
+        char::from_u32(code).ok_or_else(|| self.err("invalid \\u code point"))
+    }
+
+    fn hex4(&mut self) -> Result<u32, ParseError> {
+        let hex = self
+            .src
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| self.err("truncated \\u escape"))?;
+        self.pos += 4;
+        u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))
+    }
+
+    /// The raw text of a number whose first byte (`-` or a digit) is at
+    /// the cursor.
+    fn number(&mut self) -> &'a str {
+        let start = self.pos;
+        self.pos += 1;
+        while self
+            .bytes()
+            .get(self.pos)
+            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'))
+        {
+            self.pos += 1;
+        }
+        &self.src[start..self.pos]
+    }
+
+    /// An array of non-negative integers, its `[` at the cursor.
+    fn indices(&mut self) -> Result<Vec<usize>, ParseError> {
+        self.pos += 1;
+        let mut arr = Vec::new();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(arr);
+        }
+        loop {
+            if !self.peek().is_some_and(|b| b.is_ascii_digit()) {
+                return Err(self.err("expected integer array element"));
+            }
+            let raw = self.number();
+            arr.push(
+                raw.parse()
+                    .map_err(|_| self.err("non-integer array element"))?,
+            );
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
                     self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            self.pos += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex)
-                                    .map_err(|_| self.err("non-utf8 \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| self.err("bad \\u escape"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("invalid \\u code point"))?,
-                            );
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
+                    return Ok(arr);
                 }
-                _ => {
-                    // Re-sync to char boundary for multi-byte UTF-8.
-                    let start = self.pos - 1;
-                    let mut end = self.pos;
-                    while end < self.bytes.len() && (self.bytes[end] & 0xC0) == 0x80 {
-                        end += 1;
-                    }
-                    let chunk = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    out.push_str(chunk);
-                    self.pos = end;
-                }
+                _ => return Err(self.err("expected `,` or `]`")),
             }
         }
     }
@@ -292,27 +350,12 @@ impl<'a> Scanner<'a> {
     fn value(&mut self) -> Result<Val, ParseError> {
         match self.peek() {
             Some(b'"') => Ok(Val::Str(self.string()?)),
-            Some(b'n') => {
-                if self.bytes[self.pos..].starts_with(b"null") {
-                    self.pos += 4;
-                    Ok(Val::Null)
-                } else {
-                    Err(self.err("expected `null`"))
-                }
-            }
-            Some(b) if b == b'-' || b.is_ascii_digit() => {
-                let start = self.pos;
-                self.pos += 1;
-                while self.bytes.get(self.pos).is_some_and(|b| {
-                    b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-')
-                }) {
-                    self.pos += 1;
-                }
-                let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid number"))?;
-                Ok(Val::Num(raw.to_string()))
-            }
-            _ => Err(self.err("expected string, number, or null")),
+            Some(b'n') => self.keyword("null").map(|()| Val::Null),
+            Some(b't') => self.keyword("true").map(|()| Val::Bool(true)),
+            Some(b'f') => self.keyword("false").map(|()| Val::Bool(false)),
+            Some(b'[') => self.indices().map(Val::Arr),
+            Some(b) if b == b'-' || b.is_ascii_digit() => Ok(Val::Num(self.number().to_string())),
+            _ => Err(self.err("expected string, number, bool, array, or null")),
         }
     }
 
@@ -321,120 +364,168 @@ impl<'a> Scanner<'a> {
         let mut map = BTreeMap::new();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(map);
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            let value = self.value()?;
-            map.insert(key, value);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    break;
+        } else {
+            loop {
+                let key = self.string()?;
+                self.expect(b':')?;
+                let value = self.value()?;
+                map.insert(key, value);
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b'}') => {
+                        self.pos += 1;
+                        break;
+                    }
+                    _ => return Err(self.err("expected `,` or `}`")),
                 }
-                _ => return Err(self.err("expected `,` or `}`")),
             }
         }
         self.skip_ws();
-        if self.pos != self.bytes.len() {
+        if self.pos != self.src.len() {
             return Err(self.err("trailing data after object"));
         }
         Ok(map)
     }
 }
 
-fn get_u64(map: &BTreeMap<String, Val>, field: &'static str) -> Result<u64, ParseError> {
-    match map.get(field) {
-        Some(Val::Num(raw)) => raw.parse().map_err(|_| ParseError::BadType(field)),
-        Some(_) => Err(ParseError::BadType(field)),
-        None => Err(ParseError::MissingField(field)),
-    }
+/// One decoded flat JSON object, read through typed getters. A required
+/// getter fails with [`ParseError::MissingField`] when the field is
+/// absent; an optional one reads an absent or `null` field as `None`.
+/// Either fails with [`ParseError::BadType`] on a value of another type.
+#[derive(Debug)]
+pub struct Object(BTreeMap<String, Val>);
+
+/// Decode one line holding a flat JSON object. A field that appears
+/// twice keeps its last value.
+pub fn parse_object(line: &str) -> Result<Object, ParseError> {
+    Scanner { src: line, pos: 0 }.object().map(Object)
 }
 
-fn f64_from_val(v: &Val, field: &'static str) -> Result<f64, ParseError> {
-    match v {
-        Val::Num(raw) => raw.parse().map_err(|_| ParseError::BadType(field)),
-        Val::Str(s) => match s.as_str() {
-            "inf" => Ok(f64::INFINITY),
-            "-inf" => Ok(f64::NEG_INFINITY),
-            "nan" => Ok(f64::NAN),
+impl Object {
+    fn get(&self, field: &'static str) -> Result<&Val, ParseError> {
+        self.0.get(field).ok_or(ParseError::MissingField(field))
+    }
+
+    /// Read an optional field with the required getter `read`.
+    fn optional<T>(
+        &self,
+        field: &'static str,
+        read: fn(&Self, &'static str) -> Result<T, ParseError>,
+    ) -> Result<Option<T>, ParseError> {
+        match self.0.get(field) {
+            None | Some(Val::Null) => Ok(None),
+            Some(_) => read(self, field).map(Some),
+        }
+    }
+
+    /// A required string field.
+    pub fn string(&self, field: &'static str) -> Result<String, ParseError> {
+        match self.get(field)? {
+            Val::Str(s) => Ok(s.clone()),
             _ => Err(ParseError::BadType(field)),
-        },
-        Val::Null => Err(ParseError::BadType(field)),
+        }
     }
-}
 
-fn get_f64(map: &BTreeMap<String, Val>, field: &'static str) -> Result<f64, ParseError> {
-    match map.get(field) {
-        Some(v) => f64_from_val(v, field),
-        None => Err(ParseError::MissingField(field)),
+    /// An optional string field.
+    pub fn opt_string(&self, field: &'static str) -> Result<Option<String>, ParseError> {
+        self.optional(field, Self::string)
     }
-}
 
-fn get_opt_f64(
-    map: &BTreeMap<String, Val>,
-    field: &'static str,
-) -> Result<Option<f64>, ParseError> {
-    match map.get(field) {
-        Some(Val::Null) | None => Ok(None),
-        Some(v) => f64_from_val(v, field).map(Some),
+    /// A required unsigned integer field, exact over the whole `u64` range.
+    pub fn u64(&self, field: &'static str) -> Result<u64, ParseError> {
+        match self.get(field)? {
+            Val::Num(raw) => raw.parse().map_err(|_| ParseError::BadType(field)),
+            _ => Err(ParseError::BadType(field)),
+        }
     }
-}
 
-fn get_string(map: &BTreeMap<String, Val>, field: &'static str) -> Result<String, ParseError> {
-    match map.get(field) {
-        Some(Val::Str(s)) => Ok(s.clone()),
-        Some(_) => Err(ParseError::BadType(field)),
-        None => Err(ParseError::MissingField(field)),
+    /// An optional unsigned integer field.
+    pub fn opt_u64(&self, field: &'static str) -> Result<Option<u64>, ParseError> {
+        self.optional(field, Self::u64)
+    }
+
+    /// A required float field: a number, or one of the strings `"inf"`,
+    /// `"-inf"`, `"nan"` that [`push_f64`] writes.
+    pub fn f64(&self, field: &'static str) -> Result<f64, ParseError> {
+        match self.get(field)? {
+            Val::Num(raw) => raw.parse().map_err(|_| ParseError::BadType(field)),
+            Val::Str(s) if s == "inf" => Ok(f64::INFINITY),
+            Val::Str(s) if s == "-inf" => Ok(f64::NEG_INFINITY),
+            Val::Str(s) if s == "nan" => Ok(f64::NAN),
+            _ => Err(ParseError::BadType(field)),
+        }
+    }
+
+    /// An optional float field.
+    pub fn opt_f64(&self, field: &'static str) -> Result<Option<f64>, ParseError> {
+        self.optional(field, Self::f64)
+    }
+
+    /// A required boolean field.
+    pub fn bool(&self, field: &'static str) -> Result<bool, ParseError> {
+        match self.get(field)? {
+            Val::Bool(b) => Ok(*b),
+            _ => Err(ParseError::BadType(field)),
+        }
+    }
+
+    /// An optional boolean field.
+    pub fn opt_bool(&self, field: &'static str) -> Result<Option<bool>, ParseError> {
+        self.optional(field, Self::bool)
+    }
+
+    /// A required array of non-negative integers.
+    pub fn indices(&self, field: &'static str) -> Result<Vec<usize>, ParseError> {
+        match self.get(field)? {
+            Val::Arr(a) => Ok(a.clone()),
+            _ => Err(ParseError::BadType(field)),
+        }
     }
 }
 
 /// Decode one trace line back into an [`Event`].
 pub fn parse_line(line: &str) -> Result<Event, ParseError> {
-    let map = Scanner::new(line).object()?;
-    let tag = get_string(&map, "ev")?;
-    match tag.as_str() {
+    let obj = parse_object(line)?;
+    match obj.string("ev")?.as_str() {
         "run_start" => Ok(Event::RunStart {
-            solver: Cow::Owned(get_string(&map, "solver")?),
-            tasks: get_u64(&map, "tasks")?,
-            resources: get_u64(&map, "resources")?,
+            solver: Cow::Owned(obj.string("solver")?),
+            tasks: obj.u64("tasks")?,
+            resources: obj.u64("resources")?,
         }),
         "iter" => Ok(Event::Iter(IterEvent {
-            iter: get_u64(&map, "iter")?,
-            best: get_f64(&map, "best")?,
-            mean: get_f64(&map, "mean")?,
-            gamma: get_opt_f64(&map, "gamma")?,
-            elite_size: get_u64(&map, "elite_size")?,
-            wall_ns: get_u64(&map, "wall_ns")?,
+            iter: obj.u64("iter")?,
+            best: obj.f64("best")?,
+            mean: obj.f64("mean")?,
+            gamma: obj.opt_f64("gamma")?,
+            elite_size: obj.u64("elite_size")?,
+            wall_ns: obj.u64("wall_ns")?,
         })),
         "span" => Ok(Event::Span(SpanEvent {
-            name: Cow::Owned(get_string(&map, "name")?),
-            iter: get_u64(&map, "iter")?,
-            wall_ns: get_u64(&map, "wall_ns")?,
+            name: Cow::Owned(obj.string("name")?),
+            iter: obj.u64("iter")?,
+            wall_ns: obj.u64("wall_ns")?,
         })),
         "pool" => Ok(Event::Pool(PoolEvent {
-            iter: get_u64(&map, "iter")?,
-            chunk: get_u64(&map, "chunk")?,
-            len: get_u64(&map, "len")?,
-            wall_ns: get_u64(&map, "wall_ns")?,
+            iter: obj.u64("iter")?,
+            chunk: obj.u64("chunk")?,
+            len: obj.u64("len")?,
+            wall_ns: obj.u64("wall_ns")?,
         })),
         "counter" => Ok(Event::Counter {
-            name: Cow::Owned(get_string(&map, "name")?),
-            value: get_u64(&map, "value")?,
+            name: Cow::Owned(obj.string("name")?),
+            value: obj.u64("value")?,
         }),
         "sample" => Ok(Event::Sample {
-            name: Cow::Owned(get_string(&map, "name")?),
-            value: get_u64(&map, "value")?,
+            name: Cow::Owned(obj.string("name")?),
+            value: obj.u64("value")?,
         }),
         "run_end" => Ok(Event::RunEnd {
-            best: get_f64(&map, "best")?,
-            iterations: get_u64(&map, "iterations")?,
-            evaluations: get_u64(&map, "evaluations")?,
-            wall_ns: get_u64(&map, "wall_ns")?,
+            best: obj.f64("best")?,
+            iterations: obj.u64("iterations")?,
+            evaluations: obj.u64("evaluations")?,
+            wall_ns: obj.u64("wall_ns")?,
         }),
-        other => Err(ParseError::UnknownEvent(other.to_string())),
+        other => Err(ParseError::UnknownTag(other.to_string())),
     }
 }
 
@@ -554,6 +645,45 @@ mod tests {
         assert!(
             parse_line("{\"ev\":\"counter\",\"name\":\"x\",\"value\":1} extra").is_err(),
             "trailing data"
+        );
+    }
+
+    #[test]
+    fn surrogate_pair_escape_decodes_to_one_char() {
+        let obj = parse_object(r#"{"id":"a\ud83d\ude00b"}"#).unwrap();
+        assert_eq!(obj.string("id").unwrap(), "a😀b");
+    }
+
+    #[test]
+    fn lone_surrogate_escape_is_a_syntax_error() {
+        for line in [
+            r#"{"id":"\ud83d"}"#,
+            r#"{"id":"\ud83dx"}"#,
+            r#"{"id":"\ud83d\u0041"}"#,
+            r#"{"id":"\ude00"}"#,
+        ] {
+            assert!(
+                matches!(parse_object(line), Err(ParseError::Syntax(_))),
+                "{line}"
+            );
+        }
+    }
+
+    #[test]
+    fn reversed_surrogate_pair_is_a_syntax_error() {
+        let line = r#"{"id":"\ude00\ud83d"}"#;
+        assert!(matches!(parse_object(line), Err(ParseError::Syntax(_))));
+    }
+
+    #[test]
+    fn ignored_fields_may_hold_any_flat_value() {
+        let line = r#"{"ev":"counter","name":"x","value":1,"on":true,"at":[0,2],"no":null}"#;
+        assert_eq!(
+            parse_line(line).unwrap(),
+            Event::Counter {
+                name: "x".into(),
+                value: 1
+            }
         );
     }
 

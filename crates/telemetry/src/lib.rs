@@ -15,6 +15,8 @@
 //! The crate is deliberately zero-dependency: JSON encoding and the flat
 //! line parser are hand-rolled in [`json`], so pulling telemetry into a
 //! solver crate adds no build weight and no feature unification pressure.
+//! That module is the workspace's one JSON codec: the `match-serve` wire
+//! protocol and the other JSONL writers use it too.
 //!
 //! # Cost model
 //!
