@@ -1,4 +1,4 @@
-//! The FastMap hierarchical scheme (the paper's reference [16],
+//! The FastMap hierarchical scheme (the paper's reference \[16\],
 //! reconstructed).
 //!
 //! §5 describes FastMap as "a hierarchical mapping strategy using a

@@ -13,8 +13,11 @@
 use crate::problem::MappingInstance;
 use match_ce::batch::FlatEvaluator;
 use match_eval::{EvalBackend, EvalScratch, InstancePlan};
+use std::sync::Arc;
 
-/// Flatten an instance's cost tables into an [`InstancePlan`].
+/// Flatten an instance's cost tables into an [`InstancePlan`]. The plan
+/// shares the instance's link-cost matrix; only the task-sized arrays
+/// are copied.
 ///
 /// Processing-table precomputation and the link-diagonal probe happen
 /// inside `InstancePlan::new`; graph-layer instances always carry an
@@ -25,12 +28,6 @@ pub fn build_plan(inst: &MappingInstance) -> InstancePlan {
     let n_r = inst.n_resources();
     let task_comp: Vec<f64> = (0..n_t).map(|t| inst.computation(t)).collect();
     let proc_cost: Vec<f64> = (0..n_r).map(|s| inst.processing_cost(s)).collect();
-    let mut link = Vec::with_capacity(n_r * n_r);
-    for s in 0..n_r {
-        for b in 0..n_r {
-            link.push(inst.link_cost(s, b));
-        }
-    }
     let mut offsets = Vec::with_capacity(n_t + 1);
     offsets.push(0u32);
     let mut targets = Vec::with_capacity(inst.adjacency_len());
@@ -42,7 +39,14 @@ pub fn build_plan(inst: &MappingInstance) -> InstancePlan {
         }
         offsets.push(targets.len() as u32);
     }
-    InstancePlan::new(task_comp, offsets, targets, volumes, proc_cost, link)
+    InstancePlan::new(
+        task_comp,
+        offsets,
+        targets,
+        volumes,
+        proc_cost,
+        Arc::clone(inst.link_cost_matrix()),
+    )
 }
 
 /// A [`FlatEvaluator`] scoring sample rows against one instance's plan
@@ -120,6 +124,16 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn plan_shares_the_instance_matrix() {
+        let inst = instance(12, 36);
+        let handles = Arc::strong_count(inst.link_cost_matrix());
+        let plan = build_plan(&inst);
+        assert_eq!(Arc::strong_count(inst.link_cost_matrix()), handles + 1);
+        drop(plan);
+        assert_eq!(Arc::strong_count(inst.link_cost_matrix()), handles);
     }
 
     #[test]

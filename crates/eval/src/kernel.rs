@@ -483,7 +483,7 @@ mod tests {
             }
             offsets.push(targets.len() as u32);
         }
-        InstancePlan::new(task_comp, offsets, targets, volumes, proc_cost, link)
+        InstancePlan::new(task_comp, offsets, targets, volumes, proc_cost, link.into())
     }
 
     fn random_rows(plan: &InstancePlan, n_rows: usize, seed: u64) -> Vec<usize> {
@@ -542,7 +542,7 @@ mod tests {
             vec![1, 0, 2, 1],
             vec![10.0, 10.0, 20.0, 20.0],
             vec![1.0, 2.0, 4.0],
-            vec![0.0, 5.0, 7.0, 5.0, 0.0, 5.0, 7.0, 5.0, 0.0],
+            vec![0.0, 5.0, 7.0, 5.0, 0.0, 5.0, 7.0, 5.0, 0.0].into(),
         );
         let mut loads = vec![0.0; 3];
         assert_eq!(plan.eval_row(&[0, 1, 2], &mut loads), 154.0);

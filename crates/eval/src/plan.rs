@@ -1,5 +1,7 @@
 //! The precomputed structure-of-arrays evaluation plan.
 
+use std::sync::Arc;
+
 /// Cap on `n_tasks · n_resources` above which the `W^t·w_s` processing
 /// table is not materialised (4M entries = 32 MiB). Past the cap the
 /// kernels multiply `W^t · w_s` on the fly — the exact same product
@@ -13,7 +15,8 @@ const PROC_TAB_MAX_ENTRIES: usize = 1 << 22;
 ///   gather instead of a multiply (dropped above a size cap);
 /// * the CSR neighbour/volume arrays (`adj_offsets` / `adj_targets` /
 ///   `adj_volumes`);
-/// * the row-major `c_{s,b}` link matrix.
+/// * the row-major `c_{s,b}` link matrix, shared with the instance it
+///   came from rather than copied.
 ///
 /// Built from raw slices so both `match-core` (which sits *above*
 /// `match-ce` in the dependency graph) and the solvers below it can
@@ -28,7 +31,7 @@ pub struct InstancePlan {
     adj_offsets: Vec<u32>,
     adj_targets: Vec<u32>,
     adj_volumes: Vec<f64>,
-    link: Vec<f64>,
+    link: Arc<[f64]>,
     /// Whether every diagonal entry of `link` is exactly `+0.0`. When
     /// true the lane kernel drops the co-location mask entirely: the
     /// gathered `c_{s,s}` itself supplies the bit-neutral `+0.0` term.
@@ -41,7 +44,8 @@ impl InstancePlan {
     /// Build a plan from flattened instance parts.
     ///
     /// `adj_offsets` is the usual CSR offset array (`n_tasks + 1`
-    /// entries); `link` is `n_resources²` row-major. Computation
+    /// entries); `link` is `n_resources²` row-major, a handle the plan
+    /// shares with its caller (it is only ever read). Computation
     /// weights and processing costs must be positive and finite,
     /// volumes and link costs non-negative — the same invariants
     /// `match_core::MappingInstance` enforces, re-asserted here because
@@ -52,7 +56,7 @@ impl InstancePlan {
         adj_targets: Vec<u32>,
         adj_volumes: Vec<f64>,
         proc_cost: Vec<f64>,
-        link: Vec<f64>,
+        link: Arc<[f64]>,
     ) -> Self {
         let n_tasks = task_comp.len();
         let n_resources = proc_cost.len();
@@ -198,7 +202,7 @@ mod tests {
             vec![1, 0, 2, 1],
             vec![10.0, 10.0, 20.0, 20.0],
             vec![1.0, 2.0, 4.0],
-            link,
+            link.into(),
         )
     }
 
@@ -244,7 +248,7 @@ mod tests {
             vec![1, 0],
             vec![1.0, 1.0],
             vec![1.0],
-            vec![0.0],
+            vec![0.0].into(),
         );
     }
 
@@ -253,6 +257,13 @@ mod tests {
     fn rejects_zero_computation_weight() {
         // The +0.0-mask bit-exactness argument needs strictly positive
         // processing terms; the constructor must hold the line.
-        InstancePlan::new(vec![0.0], vec![0, 0], vec![], vec![], vec![1.0], vec![0.0]);
+        InstancePlan::new(
+            vec![0.0],
+            vec![0, 0],
+            vec![],
+            vec![],
+            vec![1.0],
+            vec![0.0].into(),
+        );
     }
 }

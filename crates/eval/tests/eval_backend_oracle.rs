@@ -26,7 +26,7 @@ impl RawInstance {
             self.adj_targets.clone(),
             self.adj_volumes.clone(),
             self.proc_cost.clone(),
-            self.link.clone(),
+            self.link.as_slice().into(),
         )
     }
 }

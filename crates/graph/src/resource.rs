@@ -17,14 +17,20 @@ use crate::graph::{Graph, GraphError};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 /// A heterogeneous platform with per-unit processing and communication
 /// costs, plus the precomputed all-pairs effective link-cost matrix.
+///
+/// The matrix is built once, here, and shared read-only from then on:
+/// cloning the platform, flattening it into a mapping instance and every
+/// instance rebuilt around it bump a reference count instead of copying
+/// `n²` floats.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ResourceGraph {
     graph: Graph,
     /// Row-major `n × n` effective communication costs; `[s][s] = 0`.
-    link_costs: Vec<f64>,
+    link_costs: Arc<[f64]>,
 }
 
 impl ResourceGraph {
@@ -69,8 +75,10 @@ impl ResourceGraph {
         self.link_costs[s * self.len() + b]
     }
 
-    /// The full link-cost matrix, row-major.
-    pub fn link_cost_matrix(&self) -> &[f64] {
+    /// The full link-cost matrix, row-major, as its shared handle:
+    /// holders clone the handle to keep the matrix alive without copying
+    /// it.
+    pub fn link_cost_matrix(&self) -> &Arc<[f64]> {
         &self.link_costs
     }
 
@@ -86,9 +94,14 @@ impl ResourceGraph {
 }
 
 /// Dijkstra from every source over positive link weights.
-fn all_pairs_shortest(g: &Graph) -> Vec<f64> {
+///
+/// The matrix is written in place inside its final shared allocation:
+/// collecting an exact-length iterator allocates the `Arc` once, where
+/// `Arc::from(Vec)` would copy and briefly hold the matrix twice.
+fn all_pairs_shortest(g: &Graph) -> Arc<[f64]> {
     let n = g.node_count();
-    let mut out = vec![f64::INFINITY; n * n];
+    let mut shared: Arc<[f64]> = std::iter::repeat_n(f64::INFINITY, n * n).collect();
+    let out = Arc::get_mut(&mut shared).expect("a fresh Arc has one owner");
 
     #[derive(PartialEq)]
     struct Entry {
@@ -132,7 +145,7 @@ fn all_pairs_shortest(g: &Graph) -> Vec<f64> {
             }
         }
     }
-    out
+    shared
 }
 
 #[cfg(test)]
@@ -200,6 +213,13 @@ mod tests {
         let mut g = Graph::from_node_weights(vec![1.0, 1.0]).unwrap();
         g.add_edge(0, 1, 0.0).unwrap();
         assert!(ResourceGraph::new(g).is_err());
+    }
+
+    #[test]
+    fn clones_share_the_matrix() {
+        let r = complete3();
+        let c = r.clone();
+        assert!(Arc::ptr_eq(r.link_cost_matrix(), c.link_cost_matrix()));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Prometheus text exposition (version 0.0.4) rendering for
-//! [`Snapshot`](crate::registry::Snapshot).
+//! [`Snapshot`].
 //!
 //! Counters render as `counter`, gauges as `gauge`, and latency
 //! histograms as `summary` series — `name{quantile="0.5"}` /

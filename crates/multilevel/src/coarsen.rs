@@ -14,7 +14,8 @@
 //! close resources act as one), so every level stays square and the
 //! paper's bijective GenPerm machinery applies unchanged at the
 //! coarsest level. On rectangular instances only tasks are coarsened
-//! and the coarse solve falls back to the many-to-one model.
+//! and the coarse solve falls back to the many-to-one model; every such
+//! level keeps its parent's platform, link-cost matrix shared.
 //!
 //! Both matchings force exactly `⌊n/2⌋` merges per step (leftover free
 //! vertices are paired in index order), so the vertex count halves
@@ -23,6 +24,7 @@
 
 use match_core::MappingInstance;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// One coarsening step: the coarse instance plus the maps projecting
 /// the *parent* level's vertices onto it.
@@ -131,7 +133,9 @@ pub fn coarsen_step(parent: &MappingInstance, lockstep: bool) -> CoarseLevel {
             })
             .collect();
         let rc = res_members.len();
-        let mut link = vec![0.0f64; rc * rc];
+        // Filled in place: the matrix is allocated once, already shared.
+        let mut link: Arc<[f64]> = std::iter::repeat_n(0.0, rc * rc).collect();
+        let cells = Arc::get_mut(&mut link).expect("a fresh Arc has one owner");
         for s in 0..rc {
             for b in 0..rc {
                 if s == b {
@@ -145,7 +149,7 @@ pub fn coarsen_step(parent: &MappingInstance, lockstep: bool) -> CoarseLevel {
                         cnt += 1.0;
                     }
                 }
-                link[s * rc + b] = sum / cnt;
+                cells[s * rc + b] = sum / cnt;
             }
         }
         CoarseLevel {
@@ -155,16 +159,8 @@ pub fn coarsen_step(parent: &MappingInstance, lockstep: bool) -> CoarseLevel {
             absorbed_comm: absorbed,
         }
     } else {
-        let rc = parent.n_resources();
-        let proc_cost: Vec<f64> = (0..rc).map(|s| parent.processing_cost(s)).collect();
-        let mut link = vec![0.0f64; rc * rc];
-        for s in 0..rc {
-            for b in 0..rc {
-                link[s * rc + b] = parent.link_cost(s, b);
-            }
-        }
         CoarseLevel {
-            inst: MappingInstance::from_parts(task_comp, &edges, proc_cost, link),
+            inst: parent.with_tasks(task_comp, &edges),
             task_parent,
             res_parent: None,
             absorbed_comm: absorbed,
@@ -384,9 +380,16 @@ mod tests {
         let inst = MappingInstance::new(&tig, &small);
         let h = coarsen(&inst, 8);
         assert!(h.depth() >= 1);
+        let mut parent = &inst;
         for level in &h.levels {
             assert_eq!(level.inst.n_resources(), 5);
             assert!(level.res_parent.is_none());
+            // Every level shares its parent's matrix instead of a copy.
+            assert!(Arc::ptr_eq(
+                level.inst.link_cost_matrix(),
+                parent.link_cost_matrix()
+            ));
+            parent = &level.inst;
         }
         let c = h.coarsest(&inst);
         assert!(c.n_tasks() <= 8);

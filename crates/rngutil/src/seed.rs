@@ -21,7 +21,7 @@ fn splitmix64(state: u64) -> u64 {
 }
 
 /// The SplitMix64 generator as a full [`rand::RngCore`]: a counter
-/// advanced by [`GOLDEN_GAMMA`] per draw, output mixed by the
+/// advanced by the golden-ratio constant `GOLDEN_GAMMA` per draw, output mixed by the
 /// avalanche function above.
 ///
 /// This is the cheap per-sample stream behind the batched pipelines:

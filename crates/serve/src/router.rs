@@ -3,7 +3,7 @@
 //!
 //! The router speaks the same JSONL protocol as the daemon, so clients
 //! do not know it is there. Every solve is keyed by the canonical
-//! [`instance_hash`](crate::hash::instance_hash) and routed through a
+//! [`instance_hash`] and routed through a
 //! [`SlotRing`] to one backend; repeated submissions of the same
 //! instance therefore land on the same shard, where its result cache
 //! and warm-start store live. Control operations fan out:

@@ -21,7 +21,7 @@
 //! back through a per-connection mpsc channel drained by the owning I/O
 //! thread, so a worker finishing job 3 can reply before job 1 is done
 //! (clients match on `id`). Thousands of idle connections cost buffer
-//! space, not parked threads — see [`crate::io`].
+//! space, not parked threads — see the crate's `io` module.
 //!
 //! ## Warm starts
 //!

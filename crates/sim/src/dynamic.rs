@@ -54,12 +54,14 @@ impl TaskEvent {
 }
 
 /// A fixed task universe with an active set that events toggle.
+///
+/// Every epoch's instance is the base instance's platform with a new
+/// task half ([`MappingInstance::with_tasks`]), so all epochs share the
+/// base's link-cost matrix.
 #[derive(Debug, Clone)]
 pub struct DynamicWorkload {
-    task_comp: Vec<f64>,
+    base: MappingInstance,
     edges: Vec<(u32, u32, f64)>,
-    proc_cost: Vec<f64>,
-    link_cost: Vec<f64>,
     active: Vec<bool>,
 }
 
@@ -75,25 +77,16 @@ impl DynamicWorkload {
                 }
             }
         }
-        let nr = inst.n_resources();
-        let mut link_cost = Vec::with_capacity(nr * nr);
-        for s in 0..nr {
-            for b in 0..nr {
-                link_cost.push(inst.link_cost(s, b));
-            }
-        }
         DynamicWorkload {
-            task_comp: (0..n).map(|t| inst.computation(t)).collect(),
+            base: inst.clone(),
             edges,
-            proc_cost: (0..nr).map(|s| inst.processing_cost(s)).collect(),
-            link_cost,
             active: vec![true; n],
         }
     }
 
     /// Task-universe size.
     pub fn n(&self) -> usize {
-        self.task_comp.len()
+        self.base.n_tasks()
     }
 
     /// The current active set.
@@ -147,13 +140,20 @@ impl DynamicWorkload {
 
     /// The current epoch's instance: departed tasks keep a negligible
     /// [`DEPARTED_EPS`] computation weight (the flattened instance
-    /// requires positive weights) and lose their interactions.
+    /// requires positive weights) and lose their interactions. The
+    /// platform, link-cost matrix included, is the base's, shared.
     pub fn instance(&self) -> MappingInstance {
         let comp: Vec<f64> = self
-            .task_comp
+            .active
             .iter()
-            .zip(&self.active)
-            .map(|(&w, &a)| if a { w } else { DEPARTED_EPS })
+            .enumerate()
+            .map(|(t, &a)| {
+                if a {
+                    self.base.computation(t)
+                } else {
+                    DEPARTED_EPS
+                }
+            })
             .collect();
         let edges: Vec<(u32, u32, f64)> = self
             .edges
@@ -161,7 +161,7 @@ impl DynamicWorkload {
             .copied()
             .filter(|&(u, v, _)| self.active[u as usize] && self.active[v as usize])
             .collect();
-        MappingInstance::from_parts(comp, &edges, self.proc_cost.clone(), self.link_cost.clone())
+        self.base.with_tasks(comp, &edges)
     }
 
     /// Draw up to `k` events: a uniformly-chosen task departs if active
@@ -320,6 +320,7 @@ mod tests {
     use match_core::{MatchConfig, RemapStrategy};
     use match_graph::gen::InstanceGenerator;
     use rand::SeedableRng;
+    use std::sync::Arc;
 
     fn base(n: usize, seed: u64) -> MappingInstance {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -340,6 +341,85 @@ mod tests {
                 mu: 1.0,
                 ..RemapConfig::default()
             },
+        }
+    }
+
+    /// An epoch instance built the way epochs were built before they
+    /// shared the base platform: every part copied out of `base`, the
+    /// link matrix element by element, then cloned into `from_parts`.
+    fn copied_epoch_instance(base: &MappingInstance, active: &[bool]) -> MappingInstance {
+        let n = base.n_tasks();
+        let nr = base.n_resources();
+        let mut edges = Vec::new();
+        for t in 0..n {
+            for (a, c) in base.interactions(t) {
+                if t < a && active[t] && active[a] {
+                    edges.push((t as u32, a as u32, c));
+                }
+            }
+        }
+        let comp = (0..n)
+            .map(|t| {
+                if active[t] {
+                    base.computation(t)
+                } else {
+                    DEPARTED_EPS
+                }
+            })
+            .collect();
+        let proc: Vec<f64> = (0..nr).map(|s| base.processing_cost(s)).collect();
+        let mut link = Vec::with_capacity(nr * nr);
+        for s in 0..nr {
+            for b in 0..nr {
+                link.push(base.link_cost(s, b));
+            }
+        }
+        MappingInstance::from_parts(comp, &edges, proc.clone(), link.clone().into())
+    }
+
+    #[test]
+    fn shared_epochs_match_copied_epochs() {
+        let n = 64;
+        let base = MappingInstance::from_pair(
+            &InstanceGenerator::large_family(n).generate(&mut StdRng::seed_from_u64(12)),
+        );
+        let cfg = RemapConfig {
+            strategy: RemapStrategy::RefineOnly,
+            mu: 0.5,
+            ..RemapConfig::default()
+        };
+        let mut wl = DynamicWorkload::new(&base);
+        let mut events_rng = StdRng::seed_from_u64(13);
+        let mut prior: Vec<usize> = (0..n).collect();
+        for epoch in 0..20u64 {
+            let events = wl.generate_events(8, &mut events_rng);
+            let changed = wl.apply(&events);
+            let shared = wl.instance();
+            let copied = copied_epoch_instance(&base, wl.active());
+            assert_eq!(shared, copied, "epoch {epoch}");
+            assert!(Arc::ptr_eq(
+                shared.link_cost_matrix(),
+                base.link_cost_matrix()
+            ));
+            let remap = |inst: &MappingInstance| {
+                let mut rng = StdRng::seed_from_u64(100 + epoch);
+                let never = StopToken::never();
+                remap_incremental(
+                    inst,
+                    Some(&prior),
+                    &changed,
+                    &cfg,
+                    &mut rng,
+                    &mut NullRecorder,
+                    &never,
+                )
+            };
+            let (a, b) = (remap(&shared), remap(&copied));
+            assert_eq!(a.mapping, b.mapping, "epoch {epoch}");
+            assert_eq!(a.cost.to_bits(), b.cost.to_bits(), "epoch {epoch}");
+            assert_eq!(a.migrated, b.migrated, "epoch {epoch}");
+            assert_eq!(a.evaluations, b.evaluations, "epoch {epoch}");
+            prior = a.mapping.as_slice().to_vec();
         }
     }
 

@@ -539,10 +539,10 @@ const WARM_COST_FACTOR: f64 = 1.05;
 /// 2. **Quality parity + oracle** — an `α = 0.5` warm start from a
 ///    prior converged under a different seed must still satisfy every
 ///    shared outcome invariant (valid permutation, Eq. 1/Eq. 2 oracle
-///    agreement) and land within [`WARM_COST_FACTOR`]× of the cold
-///    cost: priors can never degrade answers silently.
+///    agreement) and land within `WARM_COST_FACTOR` (1.05×) of the
+///    cold cost: priors can never degrade answers silently.
 /// 3. **Thread invariance** — the warm run's `RunSignature` must be
-///    identical across [`THREAD_SWEEP`], like every other batched
+///    identical across `THREAD_SWEEP` (1, 2 and 8 threads), like every other batched
 ///    pipeline.
 pub fn run_warm_checks(corpus: &[CorpusInstance]) -> Vec<CheckResult> {
     let mut identity_failures = Vec::new();
@@ -627,7 +627,7 @@ fn ml_config(threads: usize) -> MultilevelConfig {
 /// Satellite: the multilevel driver at the scales the flat `2n²`
 /// samplers cannot reach. Each instance is built once (the dense link
 /// matrix at n = 4096 is ~134 MB — rebuilding it per thread count would
-/// dominate the check), then swept for [`THREAD_SWEEP`] bit-identity
+/// dominate the check), then swept for `THREAD_SWEEP` bit-identity
 /// and the shared validity/recomputation/oracle invariants.
 pub fn run_large_checks(large: &[CorpusInstance]) -> Vec<CheckResult> {
     let mut failures = Vec::new();

@@ -1,4 +1,4 @@
-//! Metamorphic checks for incremental re-mapping ([`match_core::remap`]):
+//! Metamorphic checks for incremental re-mapping ([`match_core::remap`](mod@match_core::remap)):
 //! the contracts the module documents, asserted over every square
 //! corpus instance instead of merely stated.
 //!

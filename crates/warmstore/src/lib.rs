@@ -102,16 +102,18 @@ impl WarmStore {
 
     /// Open (or create) a file-backed store, replaying the log into the
     /// in-memory index. Later records win; unparseable lines (torn tail
-    /// write from a crash) are skipped.
+    /// write from a crash, bytes that are not UTF-8) are skipped, and the
+    /// next compaction drops them. Only I/O errors fail the open.
     pub fn open(path: &Path, cap: usize) -> std::io::Result<Self> {
         let mut index: HashMap<u64, Slot> = HashMap::new();
         let mut stamp = 0u64;
         let mut records = 0usize;
         if path.exists() {
             let reader = BufReader::new(File::open(path)?);
-            for line in reader.lines() {
+            for line in reader.split(b'\n') {
                 let line = line?;
-                if let Some((key, entry)) = parse_record(&line) {
+                let record = std::str::from_utf8(&line).ok().and_then(parse_record);
+                if let Some((key, entry)) = record {
                     records += 1;
                     stamp += 1;
                     index.insert(key, Slot { entry, stamp });
@@ -396,6 +398,32 @@ mod tests {
         assert_eq!(store.len(), 1);
         assert!(store.get(1).is_some());
         assert!(store.get(0xff).is_none());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn non_utf8_line_is_skipped() {
+        let path = temp_path("non-utf8");
+        let mut log = String::new();
+        write_record(&mut log, 1, &entry(2, 9, 1.0));
+        let mut bytes = log.into_bytes();
+        bytes.extend_from_slice(&[0xFF, 0xFE, b'\n']);
+        let mut second = String::new();
+        write_record(&mut second, 2, &entry(3, 7, 2.0));
+        bytes.extend_from_slice(second.as_bytes());
+        std::fs::write(&path, bytes).unwrap();
+
+        let store = WarmStore::open(&path, 8).unwrap();
+        assert_eq!(store.len(), 2);
+        assert_bit_equal(&store.get(1).unwrap(), &entry(2, 9, 1.0));
+        assert_bit_equal(&store.get(2).unwrap(), &entry(3, 7, 2.0));
+        store.put(3, entry(2, 4, 3.0)).unwrap();
+        store.flush().unwrap();
+        drop(store);
+
+        let store = WarmStore::open(&path, 8).unwrap();
+        assert_eq!(store.len(), 3);
+        assert_bit_equal(&store.get(3).unwrap(), &entry(2, 4, 3.0));
         let _ = std::fs::remove_file(&path);
     }
 
