@@ -56,10 +56,16 @@ impl HillClimber {
         );
     }
 
-    /// One full steepest descent from `start`. Returns the local optimum
-    /// and the evaluations spent.
-    fn descend(
-        &self,
+    /// One full steepest descent from `start`, within `budget`
+    /// evaluations. Returns the local optimum, its cost and the
+    /// evaluations spent.
+    ///
+    /// Each scan peeks only the operations that can lower Eq. 2
+    /// ([`IncrementalCost::touches_max`]): a swap needs one end that
+    /// touches a busiest resource, a move a task that does. Every other
+    /// peek would be at least the current cost, so the scan still picks
+    /// the full neighbourhood's first strict minimum.
+    pub(crate) fn descend(
         inst: &MappingInstance,
         start: Vec<usize>,
         budget: u64,
@@ -70,9 +76,11 @@ impl HillClimber {
         let square = inst.is_square();
         let mut inc = IncrementalCost::new(inst, start);
         let mut evals: u64 = 1;
+        let all_tasks: Vec<usize> = (0..n).collect();
+        let mut touching = Vec::new();
         loop {
-            // Polled once per neighbourhood scan (O(n²) evaluations), so
-            // cancellation lands between scans with the state consistent.
+            // Polled once per neighbourhood scan, so cancellation lands
+            // between scans with the state consistent.
             if stop.should_stop() {
                 break;
             }
@@ -80,8 +88,14 @@ impl HillClimber {
             let mut best_delta_cost = current;
             let mut best_op: Option<(usize, usize)> = None;
             if square {
+                inc.max_touching_tasks(&mut touching);
                 'outer_swap: for a in 0..n {
-                    for b in (a + 1)..n {
+                    let partners = if inc.touches_max(a) {
+                        &all_tasks[a + 1..]
+                    } else {
+                        &touching[touching.partition_point(|&b| b <= a)..]
+                    };
+                    for &b in partners {
                         if evals >= budget {
                             break 'outer_swap;
                         }
@@ -95,6 +109,9 @@ impl HillClimber {
                 }
             } else {
                 'outer_move: for t in 0..n {
+                    if !inc.touches_max(t) {
+                        continue;
+                    }
                     for s in 0..r {
                         if s == inc.assign()[t] {
                             continue;
@@ -186,7 +203,7 @@ impl Mapper for HillClimber {
                 (0..n).map(|_| rng.random_range(0..r)).collect()
             };
             let (assign, cost, evals) =
-                self.descend(inst, start, self.max_evaluations - total_evals, stop);
+                HillClimber::descend(inst, start, self.max_evaluations - total_evals, stop);
             total_evals += evals;
             descents += 1;
             if cost < best_cost {

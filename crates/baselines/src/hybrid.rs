@@ -10,9 +10,7 @@
 //! include it, so it lives with the baselines as an extension.
 
 use crate::hillclimb::HillClimber;
-use match_core::{
-    IncrementalCost, Mapper, MapperOutcome, Mapping, MappingInstance, Matcher, StopToken,
-};
+use match_core::{Mapper, MapperOutcome, Mapping, MappingInstance, Matcher, StopToken};
 use match_telemetry::{NullRecorder, Recorder};
 use rand::rngs::StdRng;
 use std::time::Instant;
@@ -34,41 +32,6 @@ impl PolishedMatcher {
             polish_budget: polish_budget.max(1),
         }
     }
-
-    /// Steepest descent from `start` until a local optimum or the
-    /// budget runs out. Returns the assignment, cost and evaluations.
-    fn polish(inst: &MappingInstance, start: Vec<usize>, budget: u64) -> (Vec<usize>, f64, u64) {
-        let n = inst.n_tasks();
-        let mut inc = IncrementalCost::new(inst, start);
-        let mut evals: u64 = 1;
-        loop {
-            let current = inc.cost();
-            let mut best = current;
-            let mut best_op: Option<(usize, usize)> = None;
-            'scan: for a in 0..n {
-                for b in (a + 1)..n {
-                    if evals >= budget {
-                        break 'scan;
-                    }
-                    evals += 1;
-                    let c = inc.peek_swap(a, b);
-                    if c < best {
-                        best = c;
-                        best_op = Some((a, b));
-                    }
-                }
-            }
-            match best_op {
-                Some((a, b)) if best < current => inc.apply_swap(a, b),
-                _ => break,
-            }
-            if evals >= budget {
-                break;
-            }
-        }
-        let cost = inc.cost();
-        (inc.assign().to_vec(), cost, evals)
-    }
 }
 
 impl Mapper for PolishedMatcher {
@@ -83,7 +46,8 @@ impl Mapper for PolishedMatcher {
     /// Cancellation override: the stop token is threaded into the CE
     /// stage (polled per iteration) and, if it has fired by the time CE
     /// returns, the polish stage is skipped entirely — the CE result is
-    /// already valid and the deadline has passed.
+    /// already valid and the deadline has passed. The polish stage is
+    /// [`HillClimber`]'s descent, which polls it between scans.
     fn map_controlled(
         &self,
         inst: &MappingInstance,
@@ -111,7 +75,7 @@ impl Mapper for PolishedMatcher {
             self.polish_budget
         };
         let (assign, cost, polish_evals) =
-            PolishedMatcher::polish(inst, ce.mapping.as_slice().to_vec(), budget);
+            HillClimber::descend(inst, ce.mapping.as_slice().to_vec(), budget, stop);
         debug_assert!(cost <= ce.cost + 1e-9, "polish must not regress");
         MapperOutcome {
             mapping: Mapping::new(assign),
@@ -133,7 +97,7 @@ pub fn pure_hillclimb_with_equal_budget(budget: u64) -> HillClimber {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use match_core::exec_time;
+    use match_core::{exec_time, IncrementalCost};
     use match_graph::gen::InstanceGenerator;
     use rand::SeedableRng;
 

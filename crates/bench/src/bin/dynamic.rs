@@ -19,7 +19,11 @@
 //! n = 256. The gate (`--check`) requires the incremental path at every
 //! n ≥ 256 to be at least 2× faster than the cold re-solve at the
 //! median epoch while landing within 1.05× of the cold cost —
-//! re-mapping must be cheap *and* must not quietly rot the mapping.
+//! re-mapping must be cheap *and* must not quietly rot the mapping —
+//! and, at every n, the median epoch to peek at most a quarter of the
+//! `changed · (n − 1) · refine_passes` swaps a scan over every partner
+//! would: refinement must keep skipping the swaps that cannot lower
+//! Eq. 2.
 
 use match_core::{
     remap_incremental, Mapper, MappingInstance, MultilevelConfig, RemapConfig, RemapStrategy,
@@ -41,6 +45,9 @@ const EVENTS_PER_EPOCH: usize = 8;
 
 /// Migration weight for the incremental path (power of two: exact).
 const MU: f64 = 0.5;
+
+/// Largest median share of the full scan's peeks an epoch may take.
+const MAX_PEEK_SHARE: f64 = 0.25;
 
 fn median(xs: &[f64]) -> f64 {
     let mut v = xs.to_vec();
@@ -89,6 +96,7 @@ fn main() {
         let mut epoch_entries = Vec::new();
         let mut speedups = Vec::new();
         let mut cost_ratios = Vec::new();
+        let mut peek_shares = Vec::new();
         for epoch in 1..=EPOCHS {
             let events = workload.generate_events(EVENTS_PER_EPOCH, &mut event_rng);
             let changed = workload.apply(&events);
@@ -113,8 +121,10 @@ fn main() {
 
             let speedup = cold_ms / inc_ms.max(1e-6);
             let cost_ratio = inc.cost / cold.cost;
+            let full_scan = changed.len() * (n - 1) * remap_cfg.refine_passes;
             speedups.push(speedup);
             cost_ratios.push(cost_ratio);
+            peek_shares.push(inc.evaluations as f64 / full_scan.max(1) as f64);
             eprintln!(
                 "[dynamic] n={n:>4} epoch {epoch}: {} events, {} changed | \
                  cold {cold_ms:>8.1} ms (cost {:.1}) | incremental {inc_ms:>7.2} ms \
@@ -141,7 +151,12 @@ fn main() {
         }
         let med_speedup = median(&speedups);
         let med_ratio = median(&cost_ratios);
-        eprintln!("[dynamic] n={n:>4} medians: {med_speedup:.1}x faster, {med_ratio:.3}x cost");
+        let med_share = median(&peek_shares);
+        eprintln!(
+            "[dynamic] n={n:>4} medians: {med_speedup:.1}x faster, {med_ratio:.3}x cost, \
+             {:.1}% of the full scan's peeks",
+            med_share * 100.0
+        );
         if check && n >= 256 {
             if med_speedup < 2.0 {
                 failures.push(format!(
@@ -154,10 +169,18 @@ fn main() {
                 ));
             }
         }
+        if check && med_share > MAX_PEEK_SHARE {
+            failures.push(format!(
+                "n={n}: the median epoch peeks {:.1}% of the full scan's swaps, above the {:.0}% gate",
+                med_share * 100.0,
+                MAX_PEEK_SHARE * 100.0
+            ));
+        }
         size_entries.push(format!(
             "    {{\"n\":{n},\"family\":\"large\",\"mu\":{MU},\
              \"events_per_epoch\":{EVENTS_PER_EPOCH},\"epochs\":[\n{}\n      ],\
-             \"median_speedup\":{med_speedup:.3},\"median_cost_ratio\":{med_ratio:.4}}}",
+             \"median_speedup\":{med_speedup:.3},\"median_cost_ratio\":{med_ratio:.4},\
+             \"median_peek_share\":{med_share:.4}}}",
             epoch_entries.join(",\n"),
         ));
     }

@@ -19,7 +19,10 @@
 //! [`IncrementalCost::cost`] reads its root in O(1), and a peek costs the
 //! delta plus a max over the touched resources (the moved tasks'
 //! resources and their neighbours'), falling back to an O(n) fold only
-//! when the busiest resource itself is touched.
+//! when the busiest resource itself is touched. Because Eq. 2 is a max,
+//! an operation that touches no busiest resource cannot lower it;
+//! [`IncrementalCost::touches_max`] names the tasks whose operations can,
+//! so local search peeks only those.
 
 use crate::problem::MappingInstance;
 
@@ -186,11 +189,12 @@ pub fn apply_swap_delta(
 /// Incrementally maintained per-resource loads under task moves.
 ///
 /// Beside the loads it keeps a max tournament tree over them, so Eq. 2
-/// is the root. A peek applies the delta to `loads`, takes the max of
-/// the root and the touched resources' loads, reverts the delta, and
-/// then re-syncs only the leaves whose bits the round trip changed
-/// (rounding drift). Every cost it returns is bit-equal to folding
-/// `loads` with `f64::max` from `0.0`.
+/// is the root. A peek saves the bits of the loads its delta touches,
+/// applies the delta, takes the max of the root and the touched loads,
+/// and writes the saved bits back, so it leaves the state exactly as it
+/// found it and returns bit for bit what the matching `apply_*` would
+/// leave in [`cost`](Self::cost), whatever the weights. Every cost it
+/// returns is bit-equal to folding `loads` with `f64::max` from `0.0`.
 #[derive(Debug, Clone)]
 pub struct IncrementalCost<'a> {
     inst: &'a MappingInstance,
@@ -202,6 +206,9 @@ pub struct IncrementalCost<'a> {
     tree: Vec<f64>,
     /// A resource whose load equals the root.
     max_at: usize,
+    /// Reused by every peek: each resource its delta touches, with the
+    /// load it held before the delta.
+    saved: Vec<(usize, f64)>,
 }
 
 /// Two instances are equal when their loads and assignments are; the
@@ -228,6 +235,7 @@ impl<'a> IncrementalCost<'a> {
             loads,
             tree,
             max_at: 0,
+            saved: Vec::new(),
         };
         inc.max_at = inc.argmax();
         inc
@@ -267,35 +275,97 @@ impl<'a> IncrementalCost<'a> {
     /// Cost after hypothetically moving `t` to `new_r` (state unchanged).
     pub fn peek_move(&mut self, t: usize, new_r: usize) -> f64 {
         let old_r = self.assign[t];
+        self.save_touched(&[t], [old_r, new_r]);
         apply_move_delta(self.inst, &mut self.assign, &mut self.loads, t, new_r);
-        let c = self.touched_cost(&[t], [old_r, new_r]);
-        apply_move_delta(self.inst, &mut self.assign, &mut self.loads, t, old_r);
-        self.resync(&[t], [old_r, new_r]);
+        let c = self.touched_cost();
+        self.assign[t] = old_r;
+        self.restore_touched();
         c
     }
 
     /// Cost after hypothetically swapping `t1` and `t2` (state unchanged).
     pub fn peek_swap(&mut self, t1: usize, t2: usize) -> f64 {
         let (r1, r2) = (self.assign[t1], self.assign[t2]);
+        self.save_touched(&[t1, t2], [r1, r2]);
         apply_swap_delta(self.inst, &mut self.assign, &mut self.loads, t1, t2);
-        let c = self.touched_cost(&[t1, t2], [r1, r2]);
-        apply_swap_delta(self.inst, &mut self.assign, &mut self.loads, t1, t2);
-        self.resync(&[t1, t2], [r1, r2]);
+        let c = self.touched_cost();
+        self.assign[t1] = r1;
+        self.assign[t2] = r2;
+        self.restore_touched();
         c
     }
 
-    /// Eq. 2 of `loads` while the tree still holds the loads from before
-    /// a delta that moved `tasks` between the resources `ends`.
-    /// Untouched loads are at most the root, so the max is the root
-    /// widened by the touched loads — unless the root's own resource was
-    /// touched, in which case only the fold knows what replaced it.
-    fn touched_cost(&self, tasks: &[usize], ends: [usize; 2]) -> f64 {
+    /// Whether an operation on `t` can lower Eq. 2 at all: `t`'s
+    /// resource, or a TIG neighbour's, is a busiest one (its load is the
+    /// maximum load).
+    ///
+    /// A swap writes only the two ends' loads and the loads of the
+    /// swapped tasks' neighbours' resources. When neither task passes
+    /// this test the busiest loads keep their bits, so the peek is at
+    /// least [`cost`](Self::cost). A move of a task that fails it writes
+    /// at most its target among the busiest resources, and only adds
+    /// non-negative terms there, so it cannot lower Eq. 2 either. (The
+    /// one exception is `0·∞`: a zero-volume interaction across an
+    /// unreachable pair adds NaN, which Eq. 2's max skips.)
+    pub fn touches_max(&self, t: usize) -> bool {
+        self.on_max(self.assign[t])
+            || self
+                .inst
+                .interactions(t)
+                .any(|(a, _)| self.on_max(self.assign[a]))
+    }
+
+    /// Every task [`touches_max`](Self::touches_max) holds for, in
+    /// ascending id, written into `out`: the tasks on a busiest resource
+    /// and their TIG neighbours. A swap scan from a task that fails the
+    /// test needs to peek only these partners. O(n) plus the output.
+    pub fn max_touching_tasks(&self, out: &mut Vec<usize>) {
+        out.clear();
+        for (t, &s) in self.assign.iter().enumerate() {
+            if self.on_max(s) {
+                out.push(t);
+                out.extend(self.inst.interactions(t).map(|(a, _)| a));
+            }
+        }
+        out.sort_unstable();
+        out.dedup();
+    }
+
+    /// Whether resource `s` is a busiest one.
+    fn on_max(&self, s: usize) -> bool {
+        self.loads[s] == self.tree[1]
+    }
+
+    /// Save the loads a delta that moves `tasks` between the resources
+    /// `ends` will touch, before it runs.
+    fn save_touched(&mut self, tasks: &[usize], ends: [usize; 2]) {
+        let (saved, loads) = (&mut self.saved, &self.loads);
+        saved.clear();
+        for_each_touched(self.inst, &self.assign, tasks, ends, |s| {
+            saved.push((s, loads[s]));
+        });
+    }
+
+    /// Write the saved loads back. A resource saved twice holds the same
+    /// bits in both entries, so the order does not matter.
+    fn restore_touched(&mut self) {
+        for &(s, load) in &self.saved {
+            self.loads[s] = load;
+        }
+    }
+
+    /// Eq. 2 of `loads` after a delta over the saved resources, while
+    /// the tree still holds the loads from before it. Untouched loads
+    /// are at most the root, so the max is the root widened by the
+    /// touched loads — unless the root's own resource was touched, in
+    /// which case only the fold knows what replaced it.
+    fn touched_cost(&self) -> f64 {
         let mut c = self.tree[1];
         let mut argmax_touched = false;
-        for_each_touched(self.inst, &self.assign, tasks, ends, |s| {
+        for &(s, _) in &self.saved {
             argmax_touched |= s == self.max_at;
             c = c.max(self.loads[s]);
-        });
+        }
         let c = if argmax_touched {
             makespan(&self.loads)
         } else {
@@ -506,6 +576,94 @@ mod tests {
         let mut applied = IncrementalCost::new(&inst, start);
         applied.apply_swap(2, 8);
         assert!(close(peeked, applied.cost(), 1e-9));
+    }
+
+    /// A random TIG on a complete platform, all weights fractional, so
+    /// deltas round.
+    fn uneven(n: usize, m: usize, rng: &mut StdRng) -> MappingInstance {
+        let mut tg = Graph::new();
+        for _ in 0..n {
+            tg.add_node(rng.random_range(0.1..10.0)).unwrap();
+        }
+        for u in 0..n {
+            for v in (u + 1)..n {
+                if rng.random::<f64>() < 0.3 {
+                    tg.add_edge(u, v, rng.random_range(0.1..8.0)).unwrap();
+                }
+            }
+        }
+        let mut rg = Graph::new();
+        for _ in 0..m {
+            rg.add_node(rng.random_range(0.5..4.0)).unwrap();
+        }
+        for s in 0..m {
+            for b in (s + 1)..m {
+                rg.add_edge(s, b, rng.random_range(0.2..3.0)).unwrap();
+            }
+        }
+        MappingInstance::new(
+            &TaskGraph::new(tg).unwrap(),
+            &ResourceGraph::new(rg).unwrap(),
+        )
+    }
+
+    #[test]
+    fn peeks_leave_the_loads_bit_identical() {
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut rng = StdRng::seed_from_u64(14);
+        let inst = uneven(16, 16, &mut rng);
+        let mut inc = IncrementalCost::new(&inst, random_permutation(16, &mut rng));
+        let before = bits(inc.loads());
+        for _ in 0..400 {
+            let (t, u, r) = (
+                rng.random_range(0..16),
+                rng.random_range(0..16),
+                rng.random_range(0..16),
+            );
+            inc.peek_swap(t, u);
+            assert_eq!(bits(inc.loads()), before, "after peek_swap({t}, {u})");
+            inc.peek_move(t, r);
+            assert_eq!(bits(inc.loads()), before, "after peek_move({t}, {r})");
+        }
+    }
+
+    /// The rule local search prunes by: an operation whose tasks all
+    /// fail `touches_max` never peeks below the current cost, and
+    /// `max_touching_tasks` lists exactly the tasks that pass.
+    #[test]
+    fn operations_away_from_the_busiest_resources_cannot_lower_eq2() {
+        let mut rng = StdRng::seed_from_u64(15);
+        for (n, m) in [(12, 12), (20, 20), (18, 5)] {
+            let inst = uneven(n, m, &mut rng);
+            let start = if n == m {
+                random_permutation(n, &mut rng)
+            } else {
+                (0..n).map(|_| rng.random_range(0..m)).collect()
+            };
+            let mut inc = IncrementalCost::new(&inst, start);
+            let mut touching = Vec::new();
+            for step in 0..30 {
+                let cost = inc.cost();
+                inc.max_touching_tasks(&mut touching);
+                let want: Vec<usize> = (0..n).filter(|&t| inc.touches_max(t)).collect();
+                assert_eq!(touching, want, "step {step}");
+                assert!(!touching.is_empty());
+                let away: Vec<usize> = (0..n).filter(|t| !touching.contains(t)).collect();
+                for &t in &away {
+                    for &u in &away {
+                        assert!(inc.peek_swap(t, u) >= cost, "swap({t}, {u})");
+                    }
+                    for r in 0..m {
+                        assert!(inc.peek_move(t, r) >= cost, "move({t}, {r})");
+                    }
+                }
+                if n == m {
+                    inc.apply_swap(rng.random_range(0..n), rng.random_range(0..n));
+                } else {
+                    inc.apply_move(rng.random_range(0..n), rng.random_range(0..m));
+                }
+            }
+        }
     }
 
     #[test]

@@ -213,18 +213,18 @@ fn check_against_fold(inst: &MappingInstance, rng: &mut StdRng, steps: usize) {
         let (t1, t2) = (rng.random_range(0..n), rng.random_range(0..n));
         let r = rng.random_range(0..m);
         let roll = rng.random::<f64>();
+        // A peek is the delta's fold, and then the saved state again.
         if roll < 0.4 {
             let got = inc.peek_swap(t1, t2);
-            apply_swap_delta(inst, &mut assign, &mut loads, t1, t2);
-            let want = fold(&loads);
-            apply_swap_delta(inst, &mut assign, &mut loads, t1, t2);
+            let (mut a, mut l) = (assign.clone(), loads.clone());
+            apply_swap_delta(inst, &mut a, &mut l, t1, t2);
+            let want = fold(&l);
             assert_eq!(got.to_bits(), want.to_bits(), "peek_swap at step {step}");
         } else if roll < 0.7 {
             let got = inc.peek_move(t1, r);
-            let old = assign[t1];
-            apply_move_delta(inst, &mut assign, &mut loads, t1, r);
-            let want = fold(&loads);
-            apply_move_delta(inst, &mut assign, &mut loads, t1, old);
+            let (mut a, mut l) = (assign.clone(), loads.clone());
+            apply_move_delta(inst, &mut a, &mut l, t1, r);
+            let want = fold(&l);
             assert_eq!(got.to_bits(), want.to_bits(), "peek_move at step {step}");
         } else if roll < 0.85 {
             inc.apply_swap(t1, t2);

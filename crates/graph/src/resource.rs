@@ -97,55 +97,77 @@ impl ResourceGraph {
 ///
 /// The matrix is written in place inside its final shared allocation:
 /// collecting an exact-length iterator allocates the `Arc` once, where
-/// `Arc::from(Vec)` would copy and briefly hold the matrix twice.
+/// `Arc::from(Vec)` would copy and briefly hold the matrix twice. Rows
+/// are independent, so platforms of [`parallel_threshold`] rows or more
+/// fill them in parallel with the same bits; only those ask how many
+/// threads the machine has.
+///
+/// [`parallel_threshold`]: match_par::scope_map::parallel_threshold
 fn all_pairs_shortest(g: &Graph) -> Arc<[f64]> {
     let n = g.node_count();
     let mut shared: Arc<[f64]> = std::iter::repeat_n(f64::INFINITY, n * n).collect();
     let out = Arc::get_mut(&mut shared).expect("a fresh Arc has one owner");
-
-    #[derive(PartialEq)]
-    struct Entry {
-        dist: f64,
-        node: usize,
-    }
-    impl Eq for Entry {}
-    impl PartialOrd for Entry {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl Ord for Entry {
-        fn cmp(&self, other: &Self) -> Ordering {
-            // Min-heap on dist (weights are finite positive; total order ok).
-            other
-                .dist
-                .partial_cmp(&self.dist)
-                .unwrap_or(Ordering::Equal)
-        }
-    }
-
-    for src in 0..n {
-        let row = &mut out[src * n..(src + 1) * n];
-        row[src] = 0.0;
-        let mut heap = BinaryHeap::new();
-        heap.push(Entry {
-            dist: 0.0,
-            node: src,
-        });
-        while let Some(Entry { dist, node }) = heap.pop() {
-            if dist > row[node] {
-                continue;
-            }
-            for (v, w) in g.neighbors(node) {
-                let nd = dist + w;
-                if nd < row[v] {
-                    row[v] = nd;
-                    heap.push(Entry { dist: nd, node: v });
-                }
-            }
-        }
-    }
+    let threads = if n < match_par::scope_map::parallel_threshold() {
+        1
+    } else {
+        match_par::default_threads()
+    };
+    match_par::parallel_fill_rows(
+        out,
+        &mut vec![(); n],
+        n,
+        threads,
+        BinaryHeap::new,
+        |heap, src, row, _| shortest_row(g, src, row, heap),
+    );
     shared
+}
+
+/// A heap entry of [`shortest_row`]: a tentative distance to `node`.
+#[derive(PartialEq)]
+struct Entry {
+    dist: f64,
+    node: usize,
+}
+
+impl Eq for Entry {}
+
+impl PartialOrd for Entry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Entry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Min-heap on dist (weights are finite positive; total order ok).
+        other
+            .dist
+            .partial_cmp(&self.dist)
+            .unwrap_or(Ordering::Equal)
+    }
+}
+
+/// Dijkstra from `src` into `row` (all `+∞` on entry). `heap` is empty
+/// on entry and on return, so one allocation serves many rows.
+fn shortest_row(g: &Graph, src: usize, row: &mut [f64], heap: &mut BinaryHeap<Entry>) {
+    row[src] = 0.0;
+    heap.push(Entry {
+        dist: 0.0,
+        node: src,
+    });
+    while let Some(Entry { dist, node }) = heap.pop() {
+        if dist > row[node] {
+            continue;
+        }
+        for (v, w) in g.neighbors(node) {
+            let nd = dist + w;
+            if nd < row[v] {
+                row[v] = nd;
+                heap.push(Entry { dist: nd, node: v });
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -229,6 +251,65 @@ mod tests {
             for b in 0..3 {
                 assert_eq!(r.link_cost(s, b), r.link_cost(b, s));
             }
+        }
+    }
+
+    /// The closure one source at a time, by O(n²) array Dijkstra: each
+    /// distance is the least `d[u] + w` over settled neighbours `u`, the
+    /// same sums the heap-based rows take.
+    fn serial_closure(g: &Graph) -> Vec<f64> {
+        let n = g.node_count();
+        let mut out = vec![f64::INFINITY; n * n];
+        for src in 0..n {
+            let row = &mut out[src * n..(src + 1) * n];
+            let mut settled = vec![false; n];
+            row[src] = 0.0;
+            while let Some(u) = (0..n)
+                .filter(|&u| !settled[u] && row[u].is_finite())
+                .min_by(|&a, &b| row[a].total_cmp(&row[b]))
+            {
+                settled[u] = true;
+                for (v, w) in g.neighbors(u) {
+                    row[v] = row[v].min(row[u] + w);
+                }
+            }
+        }
+        out
+    }
+
+    /// A ring of `n` resources with seeded chords and fractional link
+    /// weights; with `split`, the ring is cut into two unreachable
+    /// halves.
+    fn sparse_platform(n: usize, split: bool) -> Graph {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(n as u64);
+        let mut g = Graph::from_node_weights(vec![1.0; n]).unwrap();
+        let half = n / 2;
+        let side = |u: usize| split && u >= half;
+        for u in 0..n {
+            let v = (u + 1) % n;
+            if side(u) == side(v) {
+                g.add_edge(u, v, rng.random_range(0.1..5.0)).unwrap();
+            }
+        }
+        for _ in 0..n {
+            let (u, v) = (rng.random_range(0..n), rng.random_range(0..n));
+            if u != v && side(u) == side(v) && !g.has_edge(u, v) {
+                g.add_edge(u, v, rng.random_range(0.1..5.0)).unwrap();
+            }
+        }
+        g
+    }
+
+    #[test]
+    fn parallel_closure_matches_a_serial_one_bit_for_bit() {
+        for split in [false, true] {
+            let g = sparse_platform(200, split);
+            let want = serial_closure(&g);
+            let r = ResourceGraph::new(g).unwrap();
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(r.link_cost_matrix()), bits(&want), "split={split}");
+            assert_eq!(r.is_fully_connected(), !split);
         }
     }
 

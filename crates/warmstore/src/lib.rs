@@ -108,16 +108,24 @@ impl WarmStore {
         let mut index: HashMap<u64, Slot> = HashMap::new();
         let mut stamp = 0u64;
         let mut records = 0usize;
+        // A last line without its `\n` (a write torn by a crash): the
+        // next append would extend it, and both records would be lost.
+        let mut torn = false;
         if path.exists() {
-            let reader = BufReader::new(File::open(path)?);
-            for line in reader.split(b'\n') {
-                let line = line?;
+            let mut reader = BufReader::new(File::open(path)?);
+            let mut line = Vec::new();
+            while reader.read_until(b'\n', &mut line)? > 0 {
+                torn = line.last() != Some(&b'\n');
+                if !torn {
+                    line.pop();
+                }
                 let record = std::str::from_utf8(&line).ok().and_then(parse_record);
                 if let Some((key, entry)) = record {
                     records += 1;
                     stamp += 1;
                     index.insert(key, Slot { entry, stamp });
                 }
+                line.clear();
             }
         }
         // LRU-trim a log that was written under a larger cap.
@@ -128,7 +136,10 @@ impl WarmStore {
                 dead += 1;
             }
         }
-        let writer = BufWriter::new(OpenOptions::new().create(true).append(true).open(path)?);
+        let mut writer = BufWriter::new(OpenOptions::new().create(true).append(true).open(path)?);
+        if torn {
+            writer.write_all(b"\n")?;
+        }
         Ok(WarmStore {
             inner: Mutex::new(Inner {
                 index,
@@ -398,6 +409,26 @@ mod tests {
         assert_eq!(store.len(), 1);
         assert!(store.get(1).is_some());
         assert!(store.get(0xff).is_none());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn record_put_after_a_torn_tail_survives_reload() {
+        let path = temp_path("torn-put");
+        let mut log = String::new();
+        write_record(&mut log, 1, &entry(2, 9, 1.0));
+        log.push_str("v1 00000000000000ff 2 3 4");
+        std::fs::write(&path, log).unwrap();
+        {
+            let store = WarmStore::open(&path, 8).unwrap();
+            store.put(2, entry(3, 7, 2.0)).unwrap();
+            store.flush().unwrap();
+        }
+        let store = WarmStore::open(&path, 8).unwrap();
+        assert_bit_equal(&store.get(1).unwrap(), &entry(2, 9, 1.0));
+        let got = store.get(2).expect("record put after a torn tail was lost");
+        assert_bit_equal(&got, &entry(3, 7, 2.0));
+        assert_eq!(store.len(), 2);
         let _ = std::fs::remove_file(&path);
     }
 
