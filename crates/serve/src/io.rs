@@ -17,11 +17,20 @@
 //! channel per connection, preserving the out-of-order reply contract
 //! (workers answer jobs at their own pace; clients match on `id`).
 //!
+//! Wake-ups: a pass that moves nothing parks its thread for at most
+//! [`IDLE_PARK`]. Every reply goes through the connection's
+//! [`ReplyHandle`], which queues the response and then unparks the
+//! owning I/O thread, so a finished reply leaves on the next pass
+//! rather than after the park runs out. An unpark that lands mid-pass
+//! leaves a token and the next park returns at once. Sockets set
+//! `TCP_NODELAY`: a reply written while an earlier one is still
+//! unacknowledged would otherwise wait for the client's delayed ACK.
+//!
 //! Lifecycle: a connection is dropped once its peer is gone — read EOF
 //! or error — *and* every response owed to it has been written. The
 //! owed-responses condition falls out of channel semantics: the
-//! connection's own sender is dropped at EOF, every admitted job holds a
-//! sender clone until answered, so `try_recv` returning `Disconnected`
+//! connection's own reply handle is dropped at EOF, every admitted job
+//! holds a clone until answered, so `try_recv` returning `Disconnected`
 //! with an empty write buffer means nothing is outstanding. On shutdown
 //! the server joins its workers first (all responses are then in the
 //! channels), flips the exit flag, and each I/O thread performs a final
@@ -31,20 +40,42 @@ use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
-use std::thread::{self, JoinHandle};
+use std::thread::{self, JoinHandle, Thread};
 use std::time::Duration;
 
 use crate::protocol::{encode_response_line, Response, NOT_UTF8};
 
 /// Parsed-line handler supplied by the server: dispatch one request
-/// line, sending any responses through the connection's channel.
-pub(crate) type Dispatch = Arc<dyn Fn(&str, &mpsc::Sender<Response>) + Send + Sync>;
+/// line, sending any responses through the connection's reply handle.
+pub(crate) type Dispatch = Arc<dyn Fn(&str, &ReplyHandle) + Send + Sync>;
 
-/// How long an I/O thread sleeps when a full pass made no progress.
-const IDLE_SLEEP: Duration = Duration::from_millis(1);
+/// Longest park of an I/O thread after a pass that made no progress.
+/// A reply unparks it early; bytes arriving on a socket do not, so this
+/// bounds how long a new request waits to be read, and an idle daemon
+/// wakes once per period.
+const IDLE_PARK: Duration = Duration::from_millis(1);
 
 /// Per-pass read chunk; connections buffer partial lines across passes.
 const READ_CHUNK: usize = 16 * 1024;
+
+/// Where a connection's replies go: its response channel, plus the I/O
+/// thread that drains that channel.
+#[derive(Clone)]
+pub(crate) struct ReplyHandle {
+    tx: mpsc::Sender<Response>,
+    io: Thread,
+}
+
+impl ReplyHandle {
+    /// Queue `resp` for the connection, then wake its I/O thread. The
+    /// unpark comes after the send, so the woken pass finds the reply.
+    /// A reply to a connection that is already gone is dropped.
+    pub(crate) fn send(&self, resp: Response) {
+        if self.tx.send(resp).is_ok() {
+            self.io.unpark();
+        }
+    }
+}
 
 /// One multiplexed client connection.
 struct Conn {
@@ -57,16 +88,18 @@ struct Conn {
     wbuf: Vec<u8>,
     /// Prefix of `wbuf` already written to the socket.
     wpos: usize,
-    /// Our clone of the response sender; dropped at read-EOF so that
-    /// `rx` disconnects once the last in-flight job answers.
-    tx: Option<mpsc::Sender<Response>>,
+    /// Our clone of the reply handle; dropped at read-EOF so that `rx`
+    /// disconnects once the last in-flight job answers.
+    tx: Option<ReplyHandle>,
     rx: mpsc::Receiver<Response>,
     dead: bool,
 }
 
 impl Conn {
+    /// Wrap `stream` for the calling I/O thread, which its replies wake.
     fn new(stream: TcpStream) -> io::Result<Self> {
         stream.set_nonblocking(true)?;
+        stream.set_nodelay(true)?;
         let (tx, rx) = mpsc::channel();
         Ok(Conn {
             stream,
@@ -74,7 +107,10 @@ impl Conn {
             scanned: 0,
             wbuf: Vec::new(),
             wpos: 0,
-            tx: Some(tx),
+            tx: Some(ReplyHandle {
+                tx,
+                io: thread::current(),
+            }),
             rx,
             dead: false,
         })
@@ -122,12 +158,10 @@ impl Conn {
                     match std::str::from_utf8(&self.rbuf[start..end]).map(str::trim) {
                         Ok("") => {}
                         Ok(text) => dispatch(text, tx),
-                        Err(_) => {
-                            let _ = tx.send(Response::Error {
-                                id: String::new(),
-                                error: NOT_UTF8.to_string(),
-                            });
-                        }
+                        Err(_) => tx.send(Response::Error {
+                            id: String::new(),
+                            error: NOT_UTF8.to_string(),
+                        }),
                     }
                 }
                 start = end + 1;
@@ -288,7 +322,39 @@ fn io_loop(
             break;
         }
         if !progress {
-            thread::sleep(IDLE_SLEEP);
+            thread::park_timeout(IDLE_PARK);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Instant;
+
+    #[test]
+    fn a_reply_wakes_the_thread_that_drains_it() {
+        let (tx, rx) = mpsc::channel();
+        let (polled_tx, polled_rx) = mpsc::channel();
+        let waiter = thread::spawn(move || {
+            let started = Instant::now();
+            loop {
+                if let Ok(resp) = rx.try_recv() {
+                    return (resp, started.elapsed());
+                }
+                // Like an I/O pass that found nothing: park next.
+                let _ = polled_tx.send(());
+                thread::park_timeout(Duration::from_secs(60));
+            }
+        });
+        let reply = ReplyHandle {
+            tx,
+            io: waiter.thread().clone(),
+        };
+        polled_rx.recv().expect("waiter polled");
+        reply.send(Response::Bye);
+        let (resp, waited) = waiter.join().expect("waiter");
+        assert!(matches!(resp, Response::Bye), "{resp:?}");
+        assert!(waited < Duration::from_secs(10), "woke after {waited:?}");
     }
 }

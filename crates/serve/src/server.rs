@@ -5,8 +5,9 @@
 //!
 //! ```text
 //!   I/O threads (few) ── poll every client socket ──► parse line → admit job
-//!     │      ▲                                             │
-//!     │      └── per-connection mpsc ◄── responses ────────┤
+//!     │    ▲  ▲                                            │
+//!     │    │  └── per-connection mpsc ◄── responses ───────┤
+//!     │    └──── unpark, once the response is queued ──────┤
 //!     │                                                    ▼
 //!     │                                  bounded JobQueue (admission control)
 //!     │                                                    │
@@ -20,8 +21,10 @@
 //! the connection never blocks on a busy solver pool. Responses travel
 //! back through a per-connection mpsc channel drained by the owning I/O
 //! thread, so a worker finishing job 3 can reply before job 1 is done
-//! (clients match on `id`). Thousands of idle connections cost buffer
-//! space, not parked threads — see the crate's `io` module.
+//! (clients match on `id`). Each send then unparks that thread, so a
+//! reply leaves at once instead of after the thread's idle park.
+//! Thousands of idle connections cost buffer space, not parked threads
+//! — see the crate's `io` module.
 //!
 //! ## Warm starts
 //!
@@ -91,7 +94,7 @@ use match_warmstore::{WarmEntry, WarmStore};
 use crate::cache::{CachedResult, LruCache};
 use crate::hash::{job_key, structure_hash};
 use crate::http;
-use crate::io as serve_io;
+use crate::io::{self as serve_io, ReplyHandle};
 use crate::protocol::{
     parse_request, RemapRequest, Request, Response, SolveRequest, SolveResponse, StatsResponse,
 };
@@ -199,7 +202,7 @@ struct Job {
     /// the cache key does not cover the prior.
     remap: Option<RemapParams>,
     enqueued: Instant,
-    resp: mpsc::Sender<Response>,
+    resp: ReplyHandle,
 }
 
 /// Trace sink shared across worker and connection threads.
@@ -586,27 +589,27 @@ impl ServerHandle {
 /// Dispatch one parsed request line from an I/O thread. Control ops
 /// answer inline; solves go through admission control. Never blocks on
 /// solver work.
-fn handle_request_line(line: &str, ctx: &Arc<Ctx>, tx: &mpsc::Sender<Response>) {
+fn handle_request_line(line: &str, ctx: &Arc<Ctx>, tx: &ReplyHandle) {
     match parse_request(line) {
         Err(e) => {
-            let _ = tx.send(Response::Error {
+            tx.send(Response::Error {
                 id: String::new(),
                 error: e.to_string(),
             });
         }
         Ok(Request::Stats) => {
             ctx.sm.req_stats.inc();
-            let _ = tx.send(Response::Stats(ctx.stats_snapshot()));
+            tx.send(Response::Stats(ctx.stats_snapshot()));
         }
         Ok(Request::Metrics) => {
             ctx.sm.req_metrics.inc();
-            let _ = tx.send(Response::Metrics {
+            tx.send(Response::Metrics {
                 text: ctx.metrics.snapshot().to_prometheus(),
             });
         }
         Ok(Request::Shutdown) => {
             ctx.sm.req_shutdown.inc();
-            let _ = tx.send(Response::Bye);
+            tx.send(Response::Bye);
             ctx.request_shutdown();
             // The connection stays open: later solves on it get a
             // clean "shutting down" error instead of a hangup.
@@ -624,12 +627,12 @@ fn handle_request_line(line: &str, ctx: &Arc<Ctx>, tx: &mpsc::Sender<Response>) 
 
 /// Validate a solve or remap request and push it through admission
 /// control.
-fn admit(req: SolveRequest, remap: Option<RemapParams>, ctx: &Ctx, tx: &mpsc::Sender<Response>) {
+fn admit(req: SolveRequest, remap: Option<RemapParams>, ctx: &Ctx, tx: &ReplyHandle) {
     let reject = |error: String| {
-        let _ = tx.send(Response::Error {
+        tx.send(Response::Error {
             id: req.id.clone(),
             error,
-        });
+        })
     };
     if solvers::build_mapper(&req.algo).is_none() {
         reject(format!(
@@ -720,7 +723,7 @@ fn admit(req: SolveRequest, remap: Option<RemapParams>, ctx: &Ctx, tx: &mpsc::Se
                 name: "rejected".into(),
                 value: 1,
             });
-            let _ = tx.send(Response::Rejected {
+            tx.send(Response::Rejected {
                 id: req.id.clone(),
                 queue_depth: depth as u64,
                 queue_cap: ctx.queue.capacity() as u64,
@@ -774,7 +777,7 @@ fn process_job(job: Job, ctx: &Ctx) {
             hit.cost,
             "cache_hit",
         );
-        let _ = job.resp.send(Response::Solved(SolveResponse {
+        job.resp.send(Response::Solved(SolveResponse {
             id: job.id,
             trace_id,
             algo: hit.algo,
@@ -877,7 +880,7 @@ fn process_job(job: Job, ctx: &Ctx) {
                 solvers::build_mapper_with(&job.algo, job.backend, ctx.solver_threads)
             else {
                 // Unreachable: admission validated the name. Answer anyway.
-                let _ = job.resp.send(Response::Error {
+                job.resp.send(Response::Error {
                     id: job.id,
                     error: format!("unknown algorithm `{}`", job.algo),
                 });
@@ -905,7 +908,7 @@ fn process_job(job: Job, ctx: &Ctx) {
         Err(msg) => {
             // A solver panic must not kill the worker thread; surface it
             // as a protocol error instead.
-            let _ = job.resp.send(Response::Error {
+            job.resp.send(Response::Error {
                 id: job.id,
                 error: format!("solver panicked: {msg}"),
             });
@@ -976,7 +979,7 @@ fn process_job(job: Job, ctx: &Ctx) {
         solved.cost,
         "cache_miss",
     );
-    let _ = job.resp.send(Response::Solved(SolveResponse {
+    job.resp.send(Response::Solved(SolveResponse {
         id: job.id,
         trace_id,
         algo: solved.algo,
@@ -1051,7 +1054,7 @@ fn process_remap(job: Job, ctx: &Ctx) {
     let outcome = match run {
         Ok(outcome) => outcome,
         Err(payload) => {
-            let _ = job.resp.send(Response::Error {
+            job.resp.send(Response::Error {
                 id: job.id,
                 error: format!("solver panicked: {}", panic_message(payload)),
             });
@@ -1092,7 +1095,7 @@ fn process_remap(job: Job, ctx: &Ctx) {
         outcome.cost,
         "remap",
     );
-    let _ = job.resp.send(Response::Solved(SolveResponse {
+    job.resp.send(Response::Solved(SolveResponse {
         id: job.id,
         trace_id,
         algo: "MaTCH".to_string(),

@@ -1169,6 +1169,38 @@ fn router_forwards_merges_and_survives_a_backend_death() {
     backend_a.wait().expect("backend a drained");
 }
 
+#[test]
+fn routed_cache_hits_do_not_wait_for_delayed_acks() {
+    use match_serve::{Router, RouterConfig};
+    use std::time::{Duration, Instant};
+    let backend = start(1, 8, 8);
+    let router = Router::start(RouterConfig {
+        addr: "127.0.0.1:0".into(),
+        backends: vec![backend.local_addr().to_string()],
+        ..RouterConfig::default()
+    })
+    .expect("router");
+    let mut client = Client::connect(router.local_addr()).expect("connect router");
+    let (tig, platform) = instance_text(8, 17);
+    let req = solve("hot", "greedy", 1, &tig, &platform);
+    assert!(!expect_solved(client.call(&req).expect("prime")).cached);
+
+    // A line split over two writes waits out the peer's delayed ACK
+    // (40 ms or more on Linux) on each hop; a cache hit should not.
+    let mut rtts: Vec<Duration> = (0..20)
+        .map(|_| {
+            let sent = Instant::now();
+            let r = expect_solved(client.call(&req).expect("hit"));
+            assert!(r.cached);
+            sent.elapsed()
+        })
+        .collect();
+    rtts.sort();
+    assert!(rtts[10] < Duration::from_millis(20), "{rtts:?}");
+    router.shutdown().expect("router shutdown");
+    backend.shutdown().expect("backend shutdown");
+}
+
 /// Write `bytes` to `addr` in `piece`-byte writes, half-close, and
 /// collect every reply line until the peer closes.
 fn replies_to(addr: std::net::SocketAddr, bytes: &[u8], piece: usize) -> Vec<Response> {
