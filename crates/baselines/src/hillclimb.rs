@@ -7,7 +7,7 @@
 //! restarts escape local optima within an evaluation budget.
 
 use match_core::{
-    record_run_end, record_run_start, IncrementalCost, Mapper, MapperOutcome, Mapping,
+    exec_time, record_run_end, record_run_start, IncrementalCost, Mapper, MapperOutcome, Mapping,
     MappingInstance, StopToken,
 };
 use match_rngutil::perm::random_permutation;
@@ -57,8 +57,9 @@ impl HillClimber {
     }
 
     /// One full steepest descent from `start`, within `budget`
-    /// evaluations. Returns the local optimum, its cost and the
-    /// evaluations spent.
+    /// evaluations. Returns the local optimum, its cost as the deltas
+    /// carried it (what the search compares; it can differ from a fresh
+    /// Eq. 2 by rounding) and the evaluations spent.
     ///
     /// Each scan peeks only the operations that can lower Eq. 2
     /// ([`IncrementalCost::touches_max`]): a swap needs one end that
@@ -225,9 +226,11 @@ impl Mapper for HillClimber {
                 }));
             }
         }
+        let best = best.expect("at least one descent");
         let outcome = MapperOutcome {
-            mapping: Mapping::new(best.expect("at least one descent")),
-            cost: best_cost,
+            // The Eq. 2 of the mapping returned, not the carried value.
+            cost: exec_time(inst, &best),
+            mapping: Mapping::new(best),
             evaluations: total_evals,
             iterations: descents,
             elapsed: start_t.elapsed(),
@@ -240,7 +243,6 @@ impl Mapper for HillClimber {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use match_core::exec_time;
     use match_graph::gen::paper::PaperFamilyConfig;
     use match_graph::gen::InstanceGenerator;
     use match_graph::InstancePair;
@@ -273,7 +275,10 @@ mod tests {
     fn cost_reported_matches_mapping() {
         let inst = instance(12, 3);
         let out = HillClimber::default().map(&inst, &mut StdRng::seed_from_u64(4));
-        assert!((out.cost - exec_time(&inst, out.mapping.as_slice())).abs() < 1e-9);
+        assert_eq!(
+            out.cost.to_bits(),
+            exec_time(&inst, out.mapping.as_slice()).to_bits()
+        );
     }
 
     #[test]
@@ -323,7 +328,10 @@ mod tests {
         );
         assert_eq!(out.iterations, 1, "only the first restart runs");
         assert!(out.mapping.is_permutation());
-        assert!((out.cost - exec_time(&inst, out.mapping.as_slice())).abs() < 1e-9);
+        assert_eq!(
+            out.cost.to_bits(),
+            exec_time(&inst, out.mapping.as_slice()).to_bits()
+        );
     }
 
     #[test]

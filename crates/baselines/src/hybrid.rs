@@ -10,7 +10,7 @@
 //! include it, so it lives with the baselines as an extension.
 
 use crate::hillclimb::HillClimber;
-use match_core::{Mapper, MapperOutcome, Mapping, MappingInstance, Matcher, StopToken};
+use match_core::{exec_time, Mapper, MapperOutcome, Mapping, MappingInstance, Matcher, StopToken};
 use match_telemetry::{NullRecorder, Recorder};
 use rand::rngs::StdRng;
 use std::time::Instant;
@@ -78,8 +78,10 @@ impl Mapper for PolishedMatcher {
             HillClimber::descend(inst, ce.mapping.as_slice().to_vec(), budget, stop);
         debug_assert!(cost <= ce.cost + 1e-9, "polish must not regress");
         MapperOutcome {
+            // The Eq. 2 of the mapping returned, not the descent's
+            // carried value.
+            cost: exec_time(inst, &assign),
             mapping: Mapping::new(assign),
-            cost,
             evaluations: ce.evaluations + polish_evals,
             iterations: ce.iterations,
             elapsed: start.elapsed(),
@@ -97,7 +99,7 @@ pub fn pure_hillclimb_with_equal_budget(budget: u64) -> HillClimber {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use match_core::{exec_time, IncrementalCost};
+    use match_core::IncrementalCost;
     use match_graph::gen::InstanceGenerator;
     use rand::SeedableRng;
 

@@ -5,7 +5,7 @@
 //! moves) so one configuration works across the paper's size sweep.
 
 use match_core::{
-    record_run_end, record_run_start, IncrementalCost, Mapper, MapperOutcome, Mapping,
+    exec_time, record_run_end, record_run_start, IncrementalCost, Mapper, MapperOutcome, Mapping,
     MappingInstance, StopToken,
 };
 use match_rngutil::perm::random_permutation;
@@ -242,8 +242,10 @@ impl Mapper for SimulatedAnnealing {
         }
 
         let outcome = MapperOutcome {
+            // The Eq. 2 of the mapping returned: `best_cost` is a peek,
+            // carried through every delta since the start.
+            cost: exec_time(inst, &best),
             mapping: Mapping::new(best),
-            cost: best_cost,
             evaluations: evals,
             iterations: steps_run as usize,
             elapsed: start_t.elapsed(),
@@ -256,7 +258,6 @@ impl Mapper for SimulatedAnnealing {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use match_core::exec_time;
     use match_graph::gen::paper::PaperFamilyConfig;
     use match_graph::gen::InstanceGenerator;
     use match_graph::InstancePair;
@@ -273,7 +274,10 @@ mod tests {
         let sa = SimulatedAnnealing::new(20_000, 0.9995);
         let out = sa.map(&inst, &mut StdRng::seed_from_u64(2));
         assert!(out.mapping.is_permutation());
-        assert!((out.cost - exec_time(&inst, out.mapping.as_slice())).abs() < 1e-9);
+        assert_eq!(
+            out.cost.to_bits(),
+            exec_time(&inst, out.mapping.as_slice()).to_bits()
+        );
     }
 
     #[test]
@@ -351,7 +355,10 @@ mod tests {
         );
         assert_eq!(out.iterations, 1024, "stops at the first poll point");
         assert!(out.mapping.is_permutation());
-        assert!((out.cost - exec_time(&inst, out.mapping.as_slice())).abs() < 1e-9);
+        assert_eq!(
+            out.cost.to_bits(),
+            exec_time(&inst, out.mapping.as_slice()).to_bits()
+        );
     }
 
     #[test]

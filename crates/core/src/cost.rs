@@ -18,11 +18,16 @@
 //! tournament tree over the loads keeps Eq. 2 current:
 //! [`IncrementalCost::cost`] reads its root in O(1), and a peek costs the
 //! delta plus a max over the touched resources (the moved tasks'
-//! resources and their neighbours'), falling back to an O(n) fold only
-//! when the busiest resource itself is touched. Because Eq. 2 is a max,
-//! an operation that touches no busiest resource cannot lower it;
-//! [`IncrementalCost::touches_max`] names the tasks whose operations can,
-//! so local search peeks only those.
+//! resources and their neighbours'). Only when the busiest resource
+//! itself is touched does it take the max over all n loads, and that max
+//! runs over eight independent lanes, not one serial fold. Because Eq. 2
+//! is a max, an operation that touches no busiest resource cannot lower
+//! it; [`IncrementalCost::touches_max`] names the tasks whose operations
+//! can, so local search peeks only those.
+//!
+//! Every Eq. 2 here, [`exec_time`] included, goes through that one
+//! lane max, `makespan`, which returns the serial `fold(0.0, f64::max)`'s
+//! bits (its comment gives the argument).
 
 use crate::problem::MappingInstance;
 
@@ -33,15 +38,25 @@ pub fn exec_per_resource_into(inst: &MappingInstance, assign: &[usize], loads: &
     loads.clear();
     loads.resize(inst.n_resources(), 0.0);
     for (t, &s) in assign.iter().enumerate() {
-        let mut acc = inst.computation(t) * inst.processing_cost(s);
-        for (a, c) in inst.interactions(t) {
-            let b = assign[a];
-            if b != s {
-                acc += c * inst.link_cost(s, b);
-            }
-        }
-        loads[s] += acc;
+        loads[s] += task_load(inst, assign, t);
     }
+}
+
+/// What task `t` adds to its resource's Eq. 1 load under `assign`: its
+/// processing term plus its communication with every neighbour placed
+/// elsewhere, summed in adjacency order. [`exec_per_resource_into`]
+/// adds these to zeroed loads in task order, so on a bijection a
+/// resource's fresh load is exactly `0.0 + task_load` of the task on it.
+pub(crate) fn task_load(inst: &MappingInstance, assign: &[usize], t: usize) -> f64 {
+    let s = assign[t];
+    let mut acc = inst.computation(t) * inst.processing_cost(s);
+    for (a, c) in inst.interactions(t) {
+        let b = assign[a];
+        if b != s {
+            acc += c * inst.link_cost(s, b);
+        }
+    }
+    acc
 }
 
 /// Per-resource execution times (Eq. 1), freshly allocated.
@@ -87,10 +102,34 @@ pub fn exec_time_with(inst: &MappingInstance, assign: &[usize], scratch: &mut Ve
     makespan(scratch)
 }
 
-/// Eq. 2 over precomputed Eq. 1 loads: the largest, or `0.0` if none is
-/// positive.
-fn makespan(loads: &[f64]) -> f64 {
-    loads.iter().copied().fold(0.0, f64::max)
+/// Eq. 2 over precomputed Eq. 1 loads: the largest, or `+0.0` if none is
+/// positive. NaN entries are skipped.
+///
+/// Eight independent lane maxima, met at the end, instead of one serial
+/// `f64::max` chain, so the compiler can pack the lanes into vector
+/// registers. Each step keeps `x` only when `x > acc`, so the result is
+/// the largest positive load, or the `+0.0` floor. That value does not
+/// depend on the order the loads are visited in: two positive doubles
+/// that compare equal have the same bits, a NaN never compares greater
+/// (it is skipped, as `f64::max` skips it), and no lane ever leaves
+/// `+0.0` for `-0.0`. So it returns `fold(0.0, f64::max)`'s bits whenever
+/// some load is positive, and always on the loads Eq. 1 and its deltas
+/// produce, none of which is `-0.0`.
+pub(crate) fn makespan(loads: &[f64]) -> f64 {
+    const W: usize = 8;
+    let keep_greater = |acc: f64, x: f64| if x > acc { x } else { acc };
+    let mut lanes = [0.0f64; W];
+    let mut chunks = loads.chunks_exact(W);
+    for chunk in &mut chunks {
+        for (acc, &x) in lanes.iter_mut().zip(chunk) {
+            *acc = keep_greater(*acc, x);
+        }
+    }
+    let tail = chunks
+        .remainder()
+        .iter()
+        .fold(0.0, |m, &x| keep_greater(m, x));
+    lanes.iter().fold(tail, |m, &x| keep_greater(m, x))
 }
 
 /// A borrowed view bundling an instance with its cost functions — the
@@ -358,7 +397,7 @@ impl<'a> IncrementalCost<'a> {
     /// the tree still holds the loads from before it. Untouched loads
     /// are at most the root, so the max is the root widened by the
     /// touched loads — unless the root's own resource was touched, in
-    /// which case only the fold knows what replaced it.
+    /// which case only the max over every load knows what replaced it.
     fn touched_cost(&self) -> f64 {
         let mut c = self.tree[1];
         let mut argmax_touched = false;
@@ -418,7 +457,7 @@ impl<'a> IncrementalCost<'a> {
 /// resources `ends` touches: the two ends, and the resources of the
 /// tasks' TIG neighbours. Only the moved tasks change resource, and only
 /// between the ends, so `assign` may be read before or after the delta.
-fn for_each_touched(
+pub(crate) fn for_each_touched(
     inst: &MappingInstance,
     assign: &[usize],
     tasks: &[usize],
@@ -435,7 +474,7 @@ fn for_each_touched(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::problem::MappingInstance;
     use match_graph::gen::InstanceGenerator;
@@ -503,6 +542,68 @@ mod tests {
         let cm = CostModel::new(&inst);
         assert_eq!(cm.evaluate(&[0, 1, 2]), 154.0);
         assert_eq!(cm.per_resource(&[0, 0, 0]), vec![6.0, 0.0, 0.0]);
+    }
+
+    /// Every length 0–70 covers each remainder of the eight lanes, with
+    /// the values a max must treat with care mixed in: the lane max must
+    /// return the serial fold's bits when some entry is positive and
+    /// `+0.0` otherwise.
+    #[test]
+    fn makespan_matches_the_serial_fold() {
+        let special = [
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            0.0,
+            -3.5,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+        ];
+        let mut rng = StdRng::seed_from_u64(0x9e37_79b9);
+        for len in 0..=70 {
+            for trial in 0..24 {
+                // A third of the vectors hold no positive entry.
+                let positive = trial % 3 != 0;
+                let mut loads: Vec<f64> = (0..len)
+                    .map(|_| {
+                        let x = if rng.random_range(0..4) == 0 {
+                            special[rng.random_range(0..special.len())]
+                        } else {
+                            rng.random_range(-50.0..50.0)
+                        };
+                        if !positive && x > 0.0 {
+                            -x
+                        } else {
+                            x
+                        }
+                    })
+                    .collect();
+                // Put a single largest value at every position in turn.
+                if positive && len > 0 && trial % 2 == 0 {
+                    loads[trial % len] = 1e300;
+                }
+                let want = if loads.iter().any(|&x| x > 0.0) {
+                    loads.iter().copied().fold(0.0, f64::max)
+                } else {
+                    0.0
+                };
+                assert_eq!(
+                    makespan(&loads).to_bits(),
+                    want.to_bits(),
+                    "len {len}, trial {trial}, loads {loads:?}"
+                );
+            }
+        }
+        for loads in [
+            vec![f64::NAN; 40],
+            vec![-0.0; 33],
+            vec![f64::NEG_INFINITY; 17],
+            vec![-1.0, f64::NAN, -0.0, f64::NEG_INFINITY, -2.0],
+        ] {
+            assert_eq!(makespan(&loads).to_bits(), 0.0f64.to_bits(), "{loads:?}");
+        }
     }
 
     #[test]
@@ -580,7 +681,7 @@ mod tests {
 
     /// A random TIG on a complete platform, all weights fractional, so
     /// deltas round.
-    fn uneven(n: usize, m: usize, rng: &mut StdRng) -> MappingInstance {
+    pub(crate) fn uneven(n: usize, m: usize, rng: &mut StdRng) -> MappingInstance {
         let mut tg = Graph::new();
         for _ in 0..n {
             tg.add_node(rng.random_range(0.1..10.0)).unwrap();

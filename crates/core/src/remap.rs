@@ -14,14 +14,28 @@
 //!    caller adds — typically their TIG neighbours), scored by
 //!    [`IncrementalCost`] peeks. Each costs an O(degree) delta plus a
 //!    max over the resources the swap touches; only a swap that touches
-//!    the busiest resource pays an O(n) fold. A task that touches no
-//!    busiest resource ([`IncrementalCost::touches_max`]) peeks only the
-//!    partners that do, plus — with `μ > 0` — the at most two that undo
-//!    a migration: every other swap leaves Eq. 2's maximum in place and
-//!    cannot lower the migration count, so it cannot win. A pass thus
-//!    picks exactly the swaps a scan over every partner would, in far
-//!    fewer peeks; only a task on or beside a busiest resource scans all
-//!    `n − 1` partners.
+//!    the busiest resource takes the max over all n loads, in eight
+//!    independent lanes (see [`crate::cost`]). A task that touches
+//!    no busiest resource ([`IncrementalCost::touches_max`]) peeks only
+//!    the partners that do, plus — with `μ > 0` — the at most two that
+//!    undo a migration: every other swap leaves Eq. 2's maximum in place
+//!    and cannot lower the migration count, so it cannot win. A pass
+//!    thus picks exactly the swaps a scan over every partner would, in
+//!    far fewer peeks; only a task on or beside a busiest resource scans
+//!    all `n − 1` partners.
+//!
+//! The reported cost is a fresh Eq. 2, bit-equal to [`exec_time`] of the
+//! returned mapping, without a second Eq. 1 pass over the instance.
+//! [`IncrementalCost::new`] computed every load freshly; a peek writes
+//! its saved bits back, so only an applied swap changes a load, and a
+//! swap writes exactly its two ends and the resources of the swapped
+//! tasks' TIG neighbours. A resource outside those sets holds the same
+//! task, beside neighbours on the same resources, as when it was
+//! computed, so its fresh load has the bits it still holds. Each
+//! resource inside them is recomputed as Eq. 1 computes it: `0.0` plus
+//! the one task on it (a bijection), through the same per-task sum
+//! [`exec_per_resource_into`](crate::cost::exec_per_resource_into) uses.
+//! The max over the result is the one [`exec_time`] takes.
 //!
 //! The objective carries a migration-cost term `μ · |{t : x_t ≠
 //! prior_t}|`: refinement accepts a swap only when Eq. 2 *plus* the
@@ -40,7 +54,7 @@
 //!   Eq. 2 cost and exact migration ledger as a finished pass.
 
 use crate::control::StopToken;
-use crate::cost::{exec_time, IncrementalCost};
+use crate::cost::{exec_time, for_each_touched, makespan, task_load, IncrementalCost};
 use crate::mapping::Mapping;
 use crate::matcher::{MatchConfig, Matcher};
 use crate::problem::MappingInstance;
@@ -211,6 +225,9 @@ pub fn remap_incremental(
             let all_tasks: Vec<usize> = (0..n).collect();
             let mut touching = Vec::new();
             inc.max_touching_tasks(&mut touching);
+            // Every resource an applied swap wrote: the closing Eq. 2
+            // recomputes only these.
+            let mut dirty = Vec::new();
             let mut partners = Vec::new();
             'passes: for _pass in 0..cfg.refine_passes {
                 let mut improved = false;
@@ -253,6 +270,8 @@ pub fn remap_incremental(
                     }
                     if let Some((u, _, new_moved)) = best {
                         inc.apply_swap(t, u);
+                        let ends = [inc.assign()[t], inc.assign()[u]];
+                        for_each_touched(inst, inc.assign(), &[t, u], ends, |s| dirty.push(s));
                         for w in [t, u] {
                             task_on[inc.assign()[w]] = w;
                             moved[w] = inc.assign()[w] != p[w];
@@ -270,10 +289,19 @@ pub fn remap_incremental(
             refine.finish(recorder);
 
             let assign = inc.assign().to_vec();
-            // Fresh Eq. 2 recomputation: the incremental loads drift by
-            // at most rounding, but the reported cost must satisfy the
-            // independent-oracle check bit for bit.
-            let cost = exec_time(inst, &assign);
+            // Fresh Eq. 2: the incremental loads drift by rounding, but
+            // the reported cost must satisfy the independent-oracle check
+            // bit for bit. A load no applied swap wrote still holds the
+            // bits `IncrementalCost::new`'s fresh Eq. 1 gave it, and each
+            // written one is recomputed the way Eq. 1 computes it.
+            dirty.sort_unstable();
+            dirty.dedup();
+            let mut loads = inc.loads().to_vec();
+            for &s in &dirty {
+                loads[s] = 0.0 + task_load(inst, &assign, task_on[s]);
+            }
+            let cost = makespan(&loads);
+            debug_assert_eq!(cost.to_bits(), exec_time(inst, &assign).to_bits());
             let migrated = (0..n).filter(|&t| assign[t] != p[t]).count();
             let migration_cost = cfg.mu * migrated as f64;
             RemapOutcome {
@@ -559,6 +587,35 @@ mod tests {
         assert_eq!(out.total.to_bits(), out.cost.to_bits());
         assert_eq!(out.migrated, 0);
         assert_eq!(out.evaluations, 0);
+    }
+
+    /// The closing Eq. 2 recomputes only the loads applied swaps wrote.
+    /// On fractional weights the incremental loads drift by rounding, so
+    /// a written load it failed to recompute shows in the cost's bits
+    /// whenever it is the busiest.
+    #[test]
+    fn reported_cost_is_a_fresh_eq2_of_the_mapping() {
+        let mut rng = StdRng::seed_from_u64(23);
+        for n in [6, 10, 16, 24] {
+            for _ in 0..8 {
+                let inst = crate::cost::tests::uneven(n, n, &mut rng);
+                let prior = random_permutation(n, &mut rng);
+                let changed: Vec<usize> = (0..n).filter(|_| rng.random::<bool>()).collect();
+                for mu in [0.0, 0.5] {
+                    let cfg = RemapConfig {
+                        strategy: RemapStrategy::RefineOnly,
+                        mu,
+                        ..quick_config()
+                    };
+                    let out = remap(&inst, Some(&prior), &changed, &cfg, &mut rng);
+                    assert_eq!(
+                        out.cost.to_bits(),
+                        exec_time(&inst, out.mapping.as_slice()).to_bits(),
+                        "n={n} mu={mu}"
+                    );
+                }
+            }
+        }
     }
 
     /// The refine loop as it was before [`IncrementalCost`] tracked the

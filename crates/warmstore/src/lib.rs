@@ -101,24 +101,30 @@ impl WarmStore {
     }
 
     /// Open (or create) a file-backed store, replaying the log into the
-    /// in-memory index. Later records win; unparseable lines (torn tail
-    /// write from a crash, bytes that are not UTF-8) are skipped, and the
-    /// next compaction drops them. Only I/O errors fail the open.
+    /// in-memory index. Later records win; unparseable lines (bytes that
+    /// are not UTF-8, say) are skipped, and the next compaction drops
+    /// them. A last line without its `\n` (a write torn by a crash) is
+    /// never parsed, and the log is cut back to the end of its last
+    /// complete line. Only I/O errors fail the open.
     pub fn open(path: &Path, cap: usize) -> std::io::Result<Self> {
         let mut index: HashMap<u64, Slot> = HashMap::new();
         let mut stamp = 0u64;
         let mut records = 0usize;
-        // A last line without its `\n` (a write torn by a crash): the
-        // next append would extend it, and both records would be lost.
-        let mut torn = false;
+        // Bytes read, and bytes up to the end of the last complete line.
+        // A torn record can still parse (cut inside its last hex word,
+        // the shorter word is valid hex) and would load a wrong value;
+        // and an append would extend it, losing the appended record too.
+        let (mut read, mut complete) = (0u64, 0u64);
         if path.exists() {
             let mut reader = BufReader::new(File::open(path)?);
             let mut line = Vec::new();
-            while reader.read_until(b'\n', &mut line)? > 0 {
-                torn = line.last() != Some(&b'\n');
-                if !torn {
-                    line.pop();
+            loop {
+                let got = reader.read_until(b'\n', &mut line)?;
+                read += got as u64;
+                if line.pop() != Some(b'\n') {
+                    break;
                 }
+                complete = read;
                 let record = std::str::from_utf8(&line).ok().and_then(parse_record);
                 if let Some((key, entry)) = record {
                     records += 1;
@@ -136,9 +142,9 @@ impl WarmStore {
                 dead += 1;
             }
         }
-        let mut writer = BufWriter::new(OpenOptions::new().create(true).append(true).open(path)?);
-        if torn {
-            writer.write_all(b"\n")?;
+        let file = OpenOptions::new().create(true).append(true).open(path)?;
+        if read > complete {
+            file.set_len(complete)?;
         }
         Ok(WarmStore {
             inner: Mutex::new(Inner {
@@ -148,7 +154,7 @@ impl WarmStore {
                 dead,
                 log: Some(Log {
                     path: path.to_path_buf(),
-                    writer,
+                    writer: BufWriter::new(file),
                 }),
             }),
         })
@@ -429,6 +435,33 @@ mod tests {
         let got = store.get(2).expect("record put after a torn tail was lost");
         assert_bit_equal(&got, &entry(3, 7, 2.0));
         assert_eq!(store.len(), 2);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn record_torn_inside_its_last_word_is_cut_off() {
+        let path = temp_path("torn-word");
+        let mut log = String::new();
+        write_record(&mut log, 1, &entry(2, 9, 1.0));
+        write_record(&mut log, 2, &entry(2, 5, 2.0));
+        // Cut the second record inside its last hex word: the `\n` and
+        // three hex digits go, and what is left is still valid hex.
+        log.truncate(log.len() - 4);
+        std::fs::write(&path, &log).unwrap();
+        {
+            let store = WarmStore::open(&path, 8).unwrap();
+            assert_eq!(store.len(), 1);
+            assert!(store.get(2).is_none(), "a torn record loaded");
+            store.put(3, entry(3, 7, 3.0)).unwrap();
+            store.flush().unwrap();
+        }
+        let store = WarmStore::open(&path, 8).unwrap();
+        assert_eq!(store.len(), 2);
+        assert!(store.get(2).is_none(), "a torn record loaded on reload");
+        assert_bit_equal(&store.get(1).unwrap(), &entry(2, 9, 1.0));
+        assert_bit_equal(&store.get(3).unwrap(), &entry(3, 7, 3.0));
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text.lines().count(), 2, "the torn tail was not cut off");
         let _ = std::fs::remove_file(&path);
     }
 
