@@ -156,12 +156,15 @@ impl BenchmarkGroup<'_> {
             "{:<40} time: [{:>12.1} ns/iter]  ({:.2} Melem/s)",
             format!("{}/{}", self.name, id),
             b.mean_ns,
-            if b.mean_ns > 0.0 { 1e3 / b.mean_ns } else { 0.0 }
+            if b.mean_ns > 0.0 {
+                1e3 / b.mean_ns
+            } else {
+                0.0
+            }
         );
-        self.criterion.results.push((
-            format!("{}/{}", self.name, id),
-            b.mean_ns,
-        ));
+        self.criterion
+            .results
+            .push((format!("{}/{}", self.name, id), b.mean_ns));
     }
 
     /// Benchmark a closure under `id`.

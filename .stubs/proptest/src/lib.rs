@@ -255,7 +255,7 @@ pub mod collection {
     use super::strategy::Strategy;
     use super::TestRng;
 
-    /// Size specification accepted by [`vec`]: a fixed size or a range.
+    /// Size specification accepted by [`vec()`]: a fixed size or a range.
     #[derive(Clone, Copy, Debug)]
     pub struct SizeRange {
         lo: usize,
@@ -513,12 +513,12 @@ macro_rules! prop_assert_ne {
     ($a:expr, $b:expr) => {{
         let (left, right) = (&$a, &$b);
         if left == right {
-            return ::core::result::Result::Err(
-                $crate::test_runner::TestCaseError::fail(format!(
-                    "assertion failed: {} != {} (both: {:?})",
-                    stringify!($a), stringify!($b), left,
-                )),
-            );
+            return ::core::result::Result::Err($crate::test_runner::TestCaseError::fail(format!(
+                "assertion failed: {} != {} (both: {:?})",
+                stringify!($a),
+                stringify!($b),
+                left,
+            )));
         }
     }};
 }
@@ -528,9 +528,9 @@ macro_rules! prop_assert_ne {
 macro_rules! prop_assume {
     ($cond:expr) => {
         if !($cond) {
-            return ::core::result::Result::Err(
-                $crate::test_runner::TestCaseError::reject(stringify!($cond)),
-            );
+            return ::core::result::Result::Err($crate::test_runner::TestCaseError::reject(
+                stringify!($cond),
+            ));
         }
     };
 }

@@ -177,10 +177,7 @@ pub mod rngs {
     impl RngCore for StdRng {
         fn next_u64(&mut self) -> u64 {
             let s = &mut self.s;
-            let result = s[1]
-                .wrapping_mul(5)
-                .rotate_left(7)
-                .wrapping_mul(9);
+            let result = s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
             let t = s[1] << 17;
             s[2] ^= s[0];
             s[3] ^= s[1];

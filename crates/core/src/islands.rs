@@ -9,10 +9,10 @@
 //! best mappings and inject the global incumbent into each island's
 //! elite pool, coupling the searches the way migrating agents would.
 //!
-//! Islands communicate over `crossbeam` channels, mirroring a
-//! message-passing deployment; determinism is preserved because
-//! migration happens at fixed iteration boundaries (a barrier), not
-//! wall-clock times.
+//! Each round runs the islands on scoped threads and joins them at a
+//! barrier, where the coordinating thread migrates the incumbent;
+//! determinism is preserved because migration happens at fixed
+//! iteration boundaries, not wall-clock times.
 
 use crate::cost::exec_time;
 use crate::mapper::{record_run_end, record_run_start, Mapper, MapperOutcome};
@@ -162,10 +162,11 @@ impl IslandMatcher {
             // drawing its batch through the allocation-free flat pipeline
             // (alias tables rebuilt once per iteration, one reused
             // `per_island_n × n` buffer) and selecting elites in O(N).
-            crossbeam::thread::scope(|scope| {
+            std::thread::scope(|scope| {
+                let mut handles = Vec::with_capacity(k);
                 for (i, (island, rec)) in islands.iter_mut().zip(island_recs.iter_mut()).enumerate()
                 {
-                    scope.spawn(move |_| {
+                    handles.push(scope.spawn(move || {
                         if island.done {
                             return;
                         }
@@ -236,10 +237,13 @@ impl IslandMatcher {
                                 value: round_evals,
                             });
                         }
-                    });
+                    }));
                 }
-            })
-            .expect("island thread panicked");
+                for h in handles {
+                    h.join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                }
+            });
             if let Some(span) = round_span {
                 span.finish(recorder);
             }

@@ -39,7 +39,7 @@ pub use tig::TaskGraph;
 /// consumes. The paper always generates these together with `|V_t| =
 /// |V_r|`, but the pair itself does not require equal sizes (the
 /// many-to-one generalisation relaxes it).
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct InstancePair {
     /// The application: tasks and their interactions.
     pub tig: TaskGraph,

@@ -14,7 +14,6 @@
 //! sensible mapper will avoid.
 
 use crate::graph::{Graph, GraphError};
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -26,7 +25,7 @@ use std::sync::Arc;
 /// cloning the platform, flattening it into a mapping instance and every
 /// instance rebuilt around it bump a reference count instead of copying
 /// `n²` floats.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResourceGraph {
     graph: Graph,
     /// Row-major `n × n` effective communication costs; `[s][s] = 0`.
@@ -102,12 +101,12 @@ impl ResourceGraph {
 /// fill them in parallel with the same bits; only those ask how many
 /// threads the machine has.
 ///
-/// [`parallel_threshold`]: match_par::scope_map::parallel_threshold
+/// [`parallel_threshold`]: match_par::parallel_threshold
 fn all_pairs_shortest(g: &Graph) -> Arc<[f64]> {
     let n = g.node_count();
     let mut shared: Arc<[f64]> = std::iter::repeat_n(f64::INFINITY, n * n).collect();
     let out = Arc::get_mut(&mut shared).expect("a fresh Arc has one owner");
-    let threads = if n < match_par::scope_map::parallel_threshold() {
+    let threads = if n < match_par::parallel_threshold() {
         1
     } else {
         match_par::default_threads()

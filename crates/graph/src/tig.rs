@@ -7,13 +7,12 @@
 //! graph's per-unit costs.
 
 use crate::graph::{Graph, GraphError};
-use serde::{Deserialize, Serialize};
 
 /// A task interaction graph: computation on nodes, communication volume
 /// on edges. Wraps [`Graph`] with TIG-specific accessors and validation
 /// (strictly positive computation weights — a task with zero work is not
 /// a task).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskGraph {
     graph: Graph,
 }

@@ -6,32 +6,25 @@
 //! The evaluations are embarrassingly parallel, so the `Matcher` (and the
 //! GA's population evaluation) fan them out through this crate.
 //!
-//! The crate deliberately implements the two classic shapes itself rather
-//! than pulling a full work-stealing runtime:
+//! All of it is fork/join over one host's cores on `std::thread::scope`,
+//! so closures may borrow from the caller's stack (the MaTCH sampler
+//! borrows the instance's cost tables). One core,
+//! [`parallel_fill_rows_chunked`], splits a caller-owned row buffer into
+//! one contiguous chunk per worker; [`parallel_fill_rows`],
+//! [`parallel_map`] and [`parallel_map_timed`] are views of it.
 //!
-//! * [`scope_map`] — fork/join chunked `parallel_map` / `parallel_map_init`
-//!   over an index range using `crossbeam`'s scoped threads; zero setup
-//!   cost per call site, borrows allowed.
-//! * [`pool`] — a persistent [`pool::WorkerPool`] with a shared injector
-//!   queue and a wait-group, for callers that dispatch many small batches
-//!   and cannot afford per-batch thread spawns.
-//! * [`chunk`] — the chunk-partitioning policy shared by both.
-//!
-//! All APIs are deterministic in their *results* (outputs land at their
-//! input's index) though of course not in execution order.
+//! Results are deterministic (outputs land at their input's index)
+//! though execution order is not, and a worker's panic reaches the
+//! caller with its own payload.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod chunk;
-pub mod pool;
-pub mod scope_map;
+mod scope_map;
 
-pub use chunk::{chunk_ranges, ChunkPolicy};
-pub use pool::WorkerPool;
 pub use scope_map::{
-    parallel_fill, parallel_fill_rows, parallel_fill_rows_chunked, parallel_map, parallel_map_init,
-    parallel_map_timed, parallel_reduce, ChunkTiming,
+    parallel_fill_rows, parallel_fill_rows_chunked, parallel_map, parallel_map_timed,
+    parallel_threshold, ChunkTiming,
 };
 
 /// Number of worker threads to use by default: the machine's available

@@ -1,11 +1,170 @@
-//! Fork/join parallel map and reduce over index ranges.
+//! The fork/join core and its views.
 //!
-//! Built on `crossbeam::thread::scope`, so closures may borrow from the
-//! caller's stack (the MaTCH sampler borrows the instance's cost tables).
-//! Threads are spawned per call; for many tiny batches use
-//! [`crate::pool::WorkerPool`] instead.
+//! Every parallel loop of the crate runs through
+//! [`parallel_fill_rows_chunked`]: one `std::thread::scope`, one
+//! contiguous chunk of `rows.div_ceil(threads)` rows per worker, and the
+//! workers joined in chunk order. At one thread, or below
+//! [`parallel_threshold`] rows, the whole buffer runs inline on the
+//! caller's thread as chunk 0.
 
-use crate::chunk::{chunk_ranges, ChunkPolicy};
+use std::time::Instant;
+
+/// Below this many rows the fork/join overhead outweighs the win and the
+/// loop runs inline.
+pub const fn parallel_threshold() -> usize {
+    64
+}
+
+/// Wall-clock timing of one chunk of a dispatch.
+///
+/// `match-par` stays telemetry-agnostic: callers that trace convert these
+/// into their own event types (match-core turns them into pool events).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChunkTiming {
+    /// Chunk index within the dispatch (0-based).
+    pub chunk: u64,
+    /// Number of items the chunk processed.
+    pub len: u64,
+    /// Wall-clock nanoseconds the chunk's worker spent on it.
+    pub wall_ns: u64,
+}
+
+/// Fill `aux.len()` disjoint `width`-sized rows of `data` — plus one
+/// `aux` slot per row — in parallel, handing each worker its **whole
+/// chunk** at once, and return per-chunk wall-clock timings.
+///
+/// `f(state, base, chunk_data, chunk_aux)` runs once per chunk, where
+/// `chunk_data` covers the `chunk_aux.len()` rows of `width` items that
+/// start at global row `base`, and `state` comes fresh from `init`.
+/// Batch evaluators want this shape: they amortise per-call setup (a
+/// structure-of-arrays transpose, lane buffers) across a chunk instead
+/// of paying it per row. Both buffers are caller-owned, so repeated
+/// batches reuse one allocation each. `data.len()` must equal
+/// `aux.len() * width`.
+///
+/// Worker `k` takes rows `k·c..(k+1)·c` with `c = rows.div_ceil(threads)`
+/// (the last chunk may be shorter, and there may be fewer chunks than
+/// threads). With `threads <= 1` or fewer rows than
+/// [`parallel_threshold`], `f` runs inline once over the entire buffer,
+/// and an empty buffer reports no chunk. A worker's panic is resumed on
+/// the caller's thread with its own payload.
+pub fn parallel_fill_rows_chunked<T, U, S, I, F>(
+    data: &mut [T],
+    aux: &mut [U],
+    width: usize,
+    threads: usize,
+    init: I,
+    f: F,
+) -> Vec<ChunkTiming>
+where
+    T: Send,
+    U: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, &mut [T], &mut [U]) + Sync,
+{
+    let rows = aux.len();
+    assert_eq!(
+        data.len(),
+        rows.checked_mul(width).expect("rows × width overflows"),
+        "data must hold rows × width items"
+    );
+    let run = |chunk: usize, base: usize, data: &mut [T], aux: &mut [U]| {
+        let start = Instant::now();
+        let len = aux.len() as u64;
+        let mut state = init();
+        f(&mut state, base, data, aux);
+        ChunkTiming {
+            chunk: chunk as u64,
+            len,
+            wall_ns: start.elapsed().as_nanos() as u64,
+        }
+    };
+    if threads <= 1 || rows < parallel_threshold() {
+        let timing = run(0, 0, data, aux);
+        return if rows == 0 { Vec::new() } else { vec![timing] };
+    }
+
+    let chunk_rows = rows.div_ceil(threads);
+    let mut data_rest = data;
+    std::thread::scope(|scope| {
+        let run = &run;
+        let handles: Vec<_> = aux
+            .chunks_mut(chunk_rows)
+            .enumerate()
+            .map(|(chunk, aux)| {
+                let (data, tail) = std::mem::take(&mut data_rest).split_at_mut(aux.len() * width);
+                data_rest = tail;
+                scope.spawn(move || run(chunk, chunk * chunk_rows, data, aux))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    })
+}
+
+/// [`parallel_fill_rows_chunked`] one row at a time:
+/// `f(state, i, row, aux)` runs once per row `i`, receiving the row's
+/// `&mut [T]` slice of the flat `rows × width` buffer and the row's
+/// `&mut U` slot (typically its cost). This is the fused
+/// produce-and-score primitive. Chunks, per-worker `state`, the inline
+/// path and the timings are those of the core.
+pub fn parallel_fill_rows<T, U, S, I, F>(
+    data: &mut [T],
+    aux: &mut [U],
+    width: usize,
+    threads: usize,
+    init: I,
+    f: F,
+) -> Vec<ChunkTiming>
+where
+    T: Send,
+    U: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, &mut [T], &mut U) + Sync,
+{
+    parallel_fill_rows_chunked(data, aux, width, threads, init, |state, base, data, aux| {
+        let mut rest = data;
+        for (k, slot) in aux.iter_mut().enumerate() {
+            let (row, tail) = rest.split_at_mut(width);
+            rest = tail;
+            f(state, base + k, row, slot);
+        }
+    })
+}
+
+/// [`parallel_map`] that also reports per-chunk wall-clock timings, so
+/// callers can observe dispatch imbalance. The inline path (single
+/// thread or small input) reports one chunk covering the whole range.
+pub fn parallel_map_timed<T, F>(len: usize, threads: usize, f: F) -> (Vec<T>, Vec<ChunkTiming>)
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let mut out: Vec<Option<T>> = Vec::new();
+    out.resize_with(len, || None);
+    let timings = parallel_fill_rows_chunked(
+        &mut out,
+        &mut vec![(); len],
+        1,
+        threads,
+        || (),
+        |(), base, slots, _| {
+            for (k, slot) in slots.iter_mut().enumerate() {
+                *slot = Some(f(base + k));
+            }
+        },
+    );
+    let out = out
+        .into_iter()
+        .map(|x| x.expect("every index filled"))
+        .collect();
+    (out, timings)
+}
 
 /// Apply `f(i)` for every `i in 0..len` in parallel, collecting results in
 /// input order.
@@ -23,405 +182,14 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    parallel_map_init(len, threads, || (), move |(), i| f(i))
-}
-
-/// Like [`parallel_map`], but each worker first builds a per-thread state
-/// with `init` (e.g. a scratch buffer or an RNG) that is passed by mutable
-/// reference to every call it executes.
-pub fn parallel_map_init<T, S, I, F>(len: usize, threads: usize, init: I, f: F) -> Vec<T>
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    let mut out: Vec<Option<T>> = Vec::new();
-    out.resize_with(len, || None);
-    parallel_fill(&mut out, threads, init, |state, i, slot| {
-        *slot = Some(f(state, i));
-    });
-    out.into_iter()
-        .map(|x| x.expect("every index filled"))
-        .collect()
-}
-
-/// Wall-clock timing of one chunk dispatched by [`parallel_map_timed`].
-///
-/// `match-par` stays telemetry-agnostic: callers that trace convert these
-/// into their own event types (match-core turns them into pool events).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChunkTiming {
-    /// Chunk index within the dispatch (0-based).
-    pub chunk: u64,
-    /// Number of items the chunk processed.
-    pub len: u64,
-    /// Wall-clock nanoseconds the chunk's worker spent on it.
-    pub wall_ns: u64,
-}
-
-/// [`parallel_map`] that also reports per-chunk wall-clock timings, so
-/// callers can observe dispatch imbalance. The inline path (single
-/// thread or small input) reports one chunk covering the whole range.
-pub fn parallel_map_timed<T, F>(len: usize, threads: usize, f: F) -> (Vec<T>, Vec<ChunkTiming>)
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    use std::time::Instant;
-
-    let threads = threads.max(1);
-    if threads == 1 || len < parallel_threshold() {
-        let start = Instant::now();
-        let out: Vec<T> = (0..len).map(&f).collect();
-        let timings = if len == 0 {
-            Vec::new()
-        } else {
-            vec![ChunkTiming {
-                chunk: 0,
-                len: len as u64,
-                wall_ns: start.elapsed().as_nanos() as u64,
-            }]
-        };
-        return (out, timings);
-    }
-
-    let ranges = chunk_ranges(len, threads, ChunkPolicy::PerWorker);
-    let mut out: Vec<Option<T>> = Vec::new();
-    out.resize_with(len, || None);
-    let mut pieces: Vec<(usize, &mut [Option<T>])> = Vec::with_capacity(ranges.len());
-    let mut rest = out.as_mut_slice();
-    let mut offset = 0;
-    for r in &ranges {
-        let (head, tail) = rest.split_at_mut(r.len());
-        pieces.push((offset, head));
-        rest = tail;
-        offset += r.len();
-    }
-    let timings: Vec<ChunkTiming> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = pieces
-            .into_iter()
-            .enumerate()
-            .map(|(chunk, (base, piece))| {
-                let f = &f;
-                scope.spawn(move |_| {
-                    let start = Instant::now();
-                    let n = piece.len();
-                    for (k, slot) in piece.iter_mut().enumerate() {
-                        *slot = Some(f(base + k));
-                    }
-                    ChunkTiming {
-                        chunk: chunk as u64,
-                        len: n as u64,
-                        wall_ns: start.elapsed().as_nanos() as u64,
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    })
-    .expect("scope failed");
-    let out = out
-        .into_iter()
-        .map(|x| x.expect("every index filled"))
-        .collect();
-    (out, timings)
-}
-
-/// Fill `out` in parallel: `f(state, i, &mut out[i])` runs once per index,
-/// with per-worker `state` from `init`. Writes happen directly into the
-/// caller's buffer, so repeated batches can reuse one allocation.
-pub fn parallel_fill<T, S, I, F>(out: &mut [T], threads: usize, init: I, f: F)
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &mut T) + Sync,
-{
-    let len = out.len();
-    let threads = threads.max(1);
-    if threads == 1 || len < parallel_threshold() {
-        let mut state = init();
-        for (i, slot) in out.iter_mut().enumerate() {
-            f(&mut state, i, slot);
-        }
-        return;
-    }
-    let ranges = chunk_ranges(len, threads, ChunkPolicy::PerWorker);
-    // Hand each worker a disjoint sub-slice; indices are reconstructed
-    // from the chunk offset.
-    let mut pieces: Vec<(usize, &mut [T])> = Vec::with_capacity(ranges.len());
-    let mut rest = out;
-    let mut offset = 0;
-    for r in &ranges {
-        let (head, tail) = rest.split_at_mut(r.len());
-        pieces.push((offset, head));
-        rest = tail;
-        offset += r.len();
-    }
-    crossbeam::thread::scope(|scope| {
-        for (base, piece) in pieces {
-            let f = &f;
-            let init = &init;
-            scope.spawn(move |_| {
-                let mut state = init();
-                for (k, slot) in piece.iter_mut().enumerate() {
-                    f(&mut state, base + k, slot);
-                }
-            });
-        }
-    })
-    .expect("worker panicked");
-}
-
-/// Fill `aux.len()` disjoint `width`-sized rows of `data` — plus one
-/// `aux` slot per row — in parallel, with per-worker state, returning
-/// per-chunk wall-clock timings.
-///
-/// This is the fused produce-and-score primitive: `f(state, i, row, aux)`
-/// runs once per row `i`, receiving the row's `&mut [T]` slice of the
-/// flat `rows × width` buffer and the row's `&mut U` slot (typically its
-/// cost). Both buffers are caller-owned, so repeated batches reuse one
-/// allocation each. `data.len()` must equal `aux.len() * width`.
-///
-/// Chunking, the inline fast path (`threads <= 1` or fewer rows than
-/// [`parallel_threshold`]) and result determinism match [`parallel_fill`].
-pub fn parallel_fill_rows<T, U, S, I, F>(
-    data: &mut [T],
-    aux: &mut [U],
-    width: usize,
-    threads: usize,
-    init: I,
-    f: F,
-) -> Vec<ChunkTiming>
-where
-    T: Send,
-    U: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &mut [T], &mut U) + Sync,
-{
-    use std::time::Instant;
-
-    let rows = aux.len();
-    assert_eq!(
-        data.len(),
-        rows.checked_mul(width).expect("rows × width overflows"),
-        "data must hold rows × width items"
-    );
-    let threads = threads.max(1);
-    if threads == 1 || rows < parallel_threshold() {
-        let start = Instant::now();
-        let mut state = init();
-        let mut rest: &mut [T] = data;
-        for (i, slot) in aux.iter_mut().enumerate() {
-            let (row, tail) = rest.split_at_mut(width);
-            rest = tail;
-            f(&mut state, i, row, slot);
-        }
-        return if rows == 0 {
-            Vec::new()
-        } else {
-            vec![ChunkTiming {
-                chunk: 0,
-                len: rows as u64,
-                wall_ns: start.elapsed().as_nanos() as u64,
-            }]
-        };
-    }
-
-    let ranges = chunk_ranges(rows, threads, ChunkPolicy::PerWorker);
-    let mut pieces: Vec<(usize, &mut [T], &mut [U])> = Vec::with_capacity(ranges.len());
-    let mut data_rest = data;
-    let mut aux_rest = aux;
-    let mut offset = 0;
-    for r in &ranges {
-        let (data_head, data_tail) = data_rest.split_at_mut(r.len() * width);
-        let (aux_head, aux_tail) = aux_rest.split_at_mut(r.len());
-        pieces.push((offset, data_head, aux_head));
-        data_rest = data_tail;
-        aux_rest = aux_tail;
-        offset += r.len();
-    }
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = pieces
-            .into_iter()
-            .enumerate()
-            .map(|(chunk, (base, data_piece, aux_piece))| {
-                let f = &f;
-                let init = &init;
-                scope.spawn(move |_| {
-                    let start = Instant::now();
-                    let mut state = init();
-                    let n = aux_piece.len();
-                    let mut rest: &mut [T] = data_piece;
-                    for (k, slot) in aux_piece.iter_mut().enumerate() {
-                        let (row, tail) = rest.split_at_mut(width);
-                        rest = tail;
-                        f(&mut state, base + k, row, slot);
-                    }
-                    ChunkTiming {
-                        chunk: chunk as u64,
-                        len: n as u64,
-                        wall_ns: start.elapsed().as_nanos() as u64,
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    })
-    .expect("scope failed")
-}
-
-/// Like [`parallel_fill_rows`], but hands each worker its **whole
-/// chunk** at once: `f(state, base, chunk_data, chunk_aux)` where
-/// `chunk_data` covers `chunk_aux.len()` rows of `width` items starting
-/// at global row `base`. Batch evaluators want this shape — they
-/// amortise per-call setup (a structure-of-arrays transpose, lane
-/// buffers) across a chunk instead of paying it per row.
-///
-/// Chunk boundaries follow [`crate::chunk::chunk_ranges`] with
-/// `ChunkPolicy::PerWorker`, and the inline fast path (`threads <= 1`
-/// or fewer rows than [`parallel_threshold`]) passes the entire buffer
-/// as one chunk — identical to [`parallel_fill_rows`], so a caller
-/// whose `f` is row-order-deterministic gets the same results here.
-pub fn parallel_fill_rows_chunked<T, U, S, I, F>(
-    data: &mut [T],
-    aux: &mut [U],
-    width: usize,
-    threads: usize,
-    init: I,
-    f: F,
-) -> Vec<ChunkTiming>
-where
-    T: Send,
-    U: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &mut [T], &mut [U]) + Sync,
-{
-    use std::time::Instant;
-
-    let rows = aux.len();
-    assert_eq!(
-        data.len(),
-        rows.checked_mul(width).expect("rows × width overflows"),
-        "data must hold rows × width items"
-    );
-    let threads = threads.max(1);
-    if threads == 1 || rows < parallel_threshold() {
-        let start = Instant::now();
-        let mut state = init();
-        f(&mut state, 0, data, aux);
-        return if rows == 0 {
-            Vec::new()
-        } else {
-            vec![ChunkTiming {
-                chunk: 0,
-                len: rows as u64,
-                wall_ns: start.elapsed().as_nanos() as u64,
-            }]
-        };
-    }
-
-    let ranges = chunk_ranges(rows, threads, ChunkPolicy::PerWorker);
-    let mut pieces: Vec<(usize, &mut [T], &mut [U])> = Vec::with_capacity(ranges.len());
-    let mut data_rest = data;
-    let mut aux_rest = aux;
-    let mut offset = 0;
-    for r in &ranges {
-        let (data_head, data_tail) = data_rest.split_at_mut(r.len() * width);
-        let (aux_head, aux_tail) = aux_rest.split_at_mut(r.len());
-        pieces.push((offset, data_head, aux_head));
-        data_rest = data_tail;
-        aux_rest = aux_tail;
-        offset += r.len();
-    }
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = pieces
-            .into_iter()
-            .enumerate()
-            .map(|(chunk, (base, data_piece, aux_piece))| {
-                let f = &f;
-                let init = &init;
-                scope.spawn(move |_| {
-                    let start = Instant::now();
-                    let mut state = init();
-                    let n = aux_piece.len();
-                    f(&mut state, base, data_piece, aux_piece);
-                    ChunkTiming {
-                        chunk: chunk as u64,
-                        len: n as u64,
-                        wall_ns: start.elapsed().as_nanos() as u64,
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    })
-    .expect("scope failed")
-}
-
-/// Parallel reduction: map each index through `f`, then fold results with
-/// the associative `combine`, starting from `identity`.
-///
-/// `combine` must be associative and `identity` its neutral element;
-/// the grouping of operands across chunks is unspecified.
-pub fn parallel_reduce<T, F, C>(len: usize, threads: usize, identity: T, f: F, combine: C) -> T
-where
-    T: Send + Clone,
-    F: Fn(usize) -> T + Sync,
-    C: Fn(T, T) -> T + Send + Sync,
-{
-    let threads = threads.max(1);
-    if threads == 1 || len < parallel_threshold() {
-        let mut acc = identity;
-        for i in 0..len {
-            acc = combine(acc, f(i));
-        }
-        return acc;
-    }
-    let ranges = chunk_ranges(len, threads, ChunkPolicy::PerWorker);
-    let partials: Vec<T> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|r| {
-                let f = &f;
-                let combine = &combine;
-                let id = identity.clone();
-                scope.spawn(move |_| {
-                    let mut acc = id;
-                    for i in r {
-                        acc = combine(acc, f(i));
-                    }
-                    acc
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    })
-    .expect("scope failed");
-    partials.into_iter().fold(identity, combine)
-}
-
-/// Below this many items the fork/join overhead outweighs the win and the
-/// operations run inline.
-pub const fn parallel_threshold() -> usize {
-    64
+    parallel_map_timed(len, threads, f).0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
 
     #[test]
     fn map_matches_sequential() {
@@ -444,35 +212,6 @@ mod tests {
             i
         });
         assert_eq!(got, (0..200).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn map_init_builds_one_state_per_worker() {
-        let builds = AtomicUsize::new(0);
-        let _ = parallel_map_init(
-            1000,
-            4,
-            || {
-                builds.fetch_add(1, Ordering::SeqCst);
-                0u64
-            },
-            |state, i| {
-                *state += 1;
-                i
-            },
-        );
-        let n = builds.load(Ordering::SeqCst);
-        assert!((1..=4).contains(&n), "built {n} states");
-    }
-
-    #[test]
-    fn fill_reuses_buffer() {
-        let mut buf = vec![0usize; 500];
-        parallel_fill(&mut buf, 4, || (), |(), i, slot| *slot = i + 1);
-        assert!(buf.iter().enumerate().all(|(i, &v)| v == i + 1));
-        // Second pass over the same buffer.
-        parallel_fill(&mut buf, 4, || (), |(), i, slot| *slot = 2 * i);
-        assert!(buf.iter().enumerate().all(|(i, &v)| v == 2 * i));
     }
 
     #[test]
@@ -527,11 +266,12 @@ mod tests {
 
     #[test]
     fn fill_rows_chunked_matches_sequential() {
-        for threads in [1, 2, 4, 8] {
-            for rows in [0usize, 1, 63, 64, 65, 500] {
+        for threads in [1, 2, 3, 4, 8] {
+            for rows in [0usize, 1, 63, 64, 65, 100, 500] {
                 let width = 3;
                 let mut data = vec![0usize; rows * width];
                 let mut aux = vec![0.0f64; rows];
+                let chunks = Mutex::new(Vec::new());
                 let timings = parallel_fill_rows_chunked(
                     &mut data,
                     &mut aux,
@@ -540,6 +280,7 @@ mod tests {
                     || (),
                     |(), base, chunk_data, chunk_aux| {
                         assert_eq!(chunk_data.len(), chunk_aux.len() * width);
+                        chunks.lock().unwrap().push((base, chunk_aux.len()));
                         for (k, slot) in chunk_aux.iter_mut().enumerate() {
                             let i = base + k;
                             for (j, cell) in chunk_data[k * width..(k + 1) * width]
@@ -552,13 +293,35 @@ mod tests {
                         }
                     },
                 );
-                assert!(
-                    data.iter().enumerate().all(|(j, &v)| v == j),
-                    "threads={threads} rows={rows}"
-                );
+                let case = format!("threads={threads} rows={rows}");
+                assert!(data.iter().enumerate().all(|(j, &v)| v == j), "{case}");
                 assert!(aux.iter().enumerate().all(|(i, &v)| v == i as f64));
-                let covered: u64 = timings.iter().map(|t| t.len).sum();
-                assert_eq!(covered, rows as u64, "timings must cover all rows");
+                if rows == 0 {
+                    assert!(timings.is_empty(), "{case}");
+                    continue;
+                }
+                // Chunk indices are dense from 0, at most one per worker.
+                assert!(timings.len() <= threads, "{case}");
+                for (k, t) in timings.iter().enumerate() {
+                    assert_eq!(t.chunk, k as u64, "{case}");
+                }
+                // Bases are contiguous in chunk order and cover every row.
+                let mut chunks = chunks.into_inner().unwrap();
+                chunks.sort_unstable();
+                let mut next = 0;
+                for (&(base, len), t) in chunks.iter().zip(&timings) {
+                    assert_eq!(base, next, "gap or overlap at {base}: {case}");
+                    assert_eq!(len as u64, t.len, "{case}");
+                    next += len;
+                }
+                assert_eq!(chunks.len(), timings.len(), "{case}");
+                assert_eq!(next, rows, "{case}");
+                let first = if threads == 1 || rows < parallel_threshold() {
+                    rows
+                } else {
+                    rows.div_ceil(threads)
+                };
+                assert_eq!(timings[0].len, first as u64, "{case}");
             }
         }
     }
@@ -591,26 +354,33 @@ mod tests {
     }
 
     #[test]
-    fn reduce_matches_sequential_sum() {
-        for threads in [1, 3, 8] {
-            let got = parallel_reduce(10_000, threads, 0u64, |i| i as u64, |a, b| a + b);
-            assert_eq!(got, (0..10_000u64).sum::<u64>(), "threads={threads}");
-        }
+    #[should_panic(expected = "item 150 failed")]
+    fn map_worker_panic_reaches_the_caller() {
+        parallel_map(200, 2, |i| {
+            if i == 150 {
+                panic!("item {i} failed");
+            }
+            i
+        });
     }
 
     #[test]
-    fn reduce_with_min() {
-        let data: Vec<i64> = (0..5000)
-            .map(|i| ((i * 7919) % 4999) as i64 - 2500)
-            .collect();
-        let got = parallel_reduce(data.len(), 4, i64::MAX, |i| data[i], i64::min);
-        assert_eq!(got, *data.iter().min().unwrap());
-    }
-
-    #[test]
-    fn reduce_empty_returns_identity() {
-        let got = parallel_reduce(0, 4, 42i32, |_| 0, |a, b| a + b);
-        assert_eq!(got, 42);
+    #[should_panic(expected = "chunk at row 100 failed")]
+    fn fill_rows_chunked_worker_panic_reaches_the_caller() {
+        let mut data = vec![0u8; 200];
+        let mut aux = vec![0u8; 200];
+        parallel_fill_rows_chunked(
+            &mut data,
+            &mut aux,
+            1,
+            2,
+            || (),
+            |(), base, _, _| {
+                if base > 0 {
+                    panic!("chunk at row {base} failed");
+                }
+            },
+        );
     }
 
     #[test]
@@ -652,5 +422,282 @@ mod tests {
     fn timed_map_spawns_multiple_chunks_for_large_input() {
         let (_, timings) = parallel_map_timed(1000, 4, |i| i);
         assert!(timings.len() > 1, "expected parallel dispatch");
+    }
+
+    /// Chunk lengths of one `parallel_fill_rows_chunked` dispatch over
+    /// `rows` rows of width 1, checking that chunk indices are dense.
+    fn chunk_lens(rows: usize, threads: usize) -> Vec<u64> {
+        let mut data = vec![0u8; rows];
+        let mut aux = vec![0u8; rows];
+        let timings =
+            parallel_fill_rows_chunked(&mut data, &mut aux, 1, threads, || (), |(), _, _, _| {});
+        for (k, t) in timings.iter().enumerate() {
+            assert_eq!(t.chunk, k as u64, "rows={rows} threads={threads}");
+        }
+        timings.iter().map(|t| t.len).collect()
+    }
+
+    #[test]
+    fn chunk_boundaries_are_pinned() {
+        // Worker k takes rows k·c..(k+1)·c with c = rows.div_ceil(threads);
+        // traced runs report exactly these chunks.
+        let cases: [(usize, usize, Vec<u64>); 7] = [
+            (64, 3, vec![22, 22, 20]),
+            (65, 8, [vec![9; 7], vec![2]].concat()),
+            (100, 16, [vec![7; 14], vec![2]].concat()),
+            (500, 4, vec![125; 4]),
+            (501, 2, vec![251, 250]),
+            (63, 8, vec![63]),
+            (1000, 1, vec![1000]),
+        ];
+        for (rows, threads, want) in cases {
+            assert_eq!(
+                chunk_lens(rows, threads),
+                want,
+                "rows={rows} threads={threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn empty_range_no_chunks() {
+        for threads in [0, 1, 4] {
+            assert!(chunk_lens(0, threads).is_empty(), "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn per_worker_gives_at_most_worker_chunks() {
+        for rows in [64usize, 65, 100, 1000] {
+            for workers in [1, 3, 8, 16] {
+                let lens = chunk_lens(rows, workers);
+                let case = format!("rows={rows} workers={workers}");
+                assert!(lens.len() <= workers, "{case}");
+                // Every chunk but the last holds exactly `c` rows.
+                let c = rows.div_ceil(workers) as u64;
+                let (last, full) = lens.split_last().unwrap();
+                assert!(full.iter().all(|&len| len == c), "{case}");
+                assert!((1..=c).contains(last), "{case}");
+                assert_eq!(lens.iter().sum::<u64>(), rows as u64, "{case}");
+            }
+        }
+    }
+
+    #[test]
+    fn zero_workers_clamped() {
+        assert_eq!(chunk_lens(7, 0), vec![7]);
+        assert_eq!(chunk_lens(500, 0), vec![500]);
+    }
+
+    #[test]
+    fn single_item() {
+        let mut data = vec![0usize; 1];
+        let mut aux = vec![0usize; 1];
+        let timings = parallel_fill_rows_chunked(
+            &mut data,
+            &mut aux,
+            1,
+            8,
+            || (),
+            |(), base, data, aux| {
+                data[0] = base + 10;
+                aux[0] = aux.len();
+            },
+        );
+        assert_eq!(timings.len(), 1);
+        assert_eq!((timings[0].chunk, timings[0].len), (0, 1));
+        assert_eq!((data[0], aux[0]), (10, 1));
+    }
+
+    #[test]
+    fn inline_path_runs_on_the_callers_thread() {
+        let caller = std::thread::current().id();
+        let ran_on = |rows: usize, threads: usize| {
+            let ids = Mutex::new(Vec::new());
+            let mut data = vec![0u8; rows];
+            let mut aux = vec![0u8; rows];
+            parallel_fill_rows_chunked(
+                &mut data,
+                &mut aux,
+                1,
+                threads,
+                || (),
+                |(), _, _, _| ids.lock().unwrap().push(std::thread::current().id()),
+            );
+            ids.into_inner().unwrap()
+        };
+        for (rows, threads) in [(63, 8), (500, 1), (500, 0)] {
+            assert_eq!(
+                ran_on(rows, threads),
+                vec![caller],
+                "rows={rows} threads={threads}"
+            );
+        }
+        let mut threaded = ran_on(500, 4);
+        threaded.sort_unstable_by_key(|id| format!("{id:?}"));
+        threaded.dedup();
+        assert!(threaded.len() > 1, "500 rows on 4 threads must fork");
+    }
+
+    #[test]
+    fn batch_runs_every_job_once() {
+        for threads in [1, 2, 4, 7] {
+            let visits: Vec<AtomicUsize> = (0..300).map(|_| AtomicUsize::new(0)).collect();
+            let mut data = vec![0u8; 300];
+            let mut aux = vec![0u8; 300];
+            parallel_fill_rows(
+                &mut data,
+                &mut aux,
+                1,
+                threads,
+                || (),
+                |(), i, _, _| {
+                    visits[i].fetch_add(1, Ordering::SeqCst);
+                },
+            );
+            assert!(
+                visits.iter().all(|v| v.load(Ordering::SeqCst) == 1),
+                "threads={threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn empty_batch_returns_immediately() {
+        let calls = AtomicUsize::new(0);
+        let got: Vec<usize> = parallel_map(0, 2, |i| {
+            calls.fetch_add(1, Ordering::SeqCst);
+            i
+        });
+        assert!(got.is_empty());
+        let timings = parallel_fill_rows::<u8, u8, (), _, _>(
+            &mut [],
+            &mut [],
+            3,
+            2,
+            || (),
+            |(), _, _, _| {
+                calls.fetch_add(1, Ordering::SeqCst);
+            },
+        );
+        assert!(timings.is_empty());
+        assert_eq!(calls.load(Ordering::SeqCst), 0, "no row means no call");
+    }
+
+    #[test]
+    fn zero_threads_clamped_to_one() {
+        let (got, timings) = parallel_map_timed(100, 0, |i| i * 2);
+        assert_eq!(got, (0..100).map(|i| i * 2).collect::<Vec<_>>());
+        assert_eq!(timings.len(), 1);
+        assert_eq!((timings[0].chunk, timings[0].len), (0, 100));
+    }
+
+    #[test]
+    fn jobs_run_concurrently() {
+        // 256 rows on 4 threads are 4 chunks; each waits until all 4 have
+        // started, which only happens if they truly run at the same time.
+        // The deadline turns a serial regression into a failure, not a hang.
+        let started = AtomicUsize::new(0);
+        let met = AtomicUsize::new(0);
+        let mut data = vec![0u8; 256];
+        let mut aux = vec![0u8; 256];
+        let timings = parallel_fill_rows_chunked(
+            &mut data,
+            &mut aux,
+            1,
+            4,
+            || (),
+            |(), _, _, _| {
+                started.fetch_add(1, Ordering::SeqCst);
+                let deadline = Instant::now() + std::time::Duration::from_secs(10);
+                while started.load(Ordering::SeqCst) < 4 && Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+                if started.load(Ordering::SeqCst) == 4 {
+                    met.fetch_add(1, Ordering::SeqCst);
+                }
+            },
+        );
+        assert_eq!(timings.len(), 4);
+        assert_eq!(met.load(Ordering::SeqCst), 4, "chunks did not overlap");
+    }
+
+    #[test]
+    fn fill_reuses_buffer() {
+        let mut data = vec![0usize; 500];
+        let mut aux = vec![0u8; 500];
+        parallel_fill_rows(
+            &mut data,
+            &mut aux,
+            1,
+            4,
+            || (),
+            |(), i, row, _| row[0] = i + 1,
+        );
+        assert!(data.iter().enumerate().all(|(i, &v)| v == i + 1));
+        // Second pass over the same buffer overwrites every row.
+        parallel_fill_rows(
+            &mut data,
+            &mut aux,
+            1,
+            4,
+            || (),
+            |(), i, row, _| row[0] = 2 * i,
+        );
+        assert!(data.iter().enumerate().all(|(i, &v)| v == 2 * i));
+    }
+
+    #[test]
+    fn fill_rows_chunked_builds_one_state_per_chunk() {
+        for (rows, threads) in [(0, 4), (10, 4), (1000, 1), (1000, 3), (1000, 16)] {
+            let builds = AtomicUsize::new(0);
+            let mut data = vec![0u8; rows];
+            let mut aux = vec![0u8; rows];
+            let timings = parallel_fill_rows_chunked(
+                &mut data,
+                &mut aux,
+                1,
+                threads,
+                || builds.fetch_add(1, Ordering::SeqCst),
+                |_, _, _, _| {},
+            );
+            // The inline path builds its one state even for an empty buffer.
+            let want = timings.len().max(1);
+            assert_eq!(
+                builds.load(Ordering::SeqCst),
+                want,
+                "rows={rows} threads={threads}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "item 900 failed")]
+    fn map_timed_worker_panic_reaches_the_caller() {
+        parallel_map_timed(1000, 4, |i| {
+            if i == 900 {
+                panic!("item {i} failed");
+            }
+            i
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "row 70 failed")]
+    fn fill_rows_worker_panic_reaches_the_caller() {
+        let mut data = vec![0u8; 128];
+        let mut aux = vec![0u8; 128];
+        parallel_fill_rows(
+            &mut data,
+            &mut aux,
+            1,
+            2,
+            || (),
+            |(), i, _, _| {
+                if i == 70 {
+                    panic!("row {i} failed");
+                }
+            },
+        );
     }
 }

@@ -3,7 +3,7 @@
 
 use match_par::*;
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::sync::Mutex;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -16,38 +16,66 @@ proptest! {
     }
 
     #[test]
-    fn reduce_equals_sequential_sum(len in 0usize..5000, threads in 1usize..12) {
-        let got = parallel_reduce(len, threads, 0u64, |i| i as u64, |a, b| a + b);
-        prop_assert_eq!(got, (0..len as u64).sum::<u64>());
-    }
-
-    #[test]
-    fn reduce_min_matches(data in proptest::collection::vec(-1000i64..1000, 0..800),
-                          threads in 1usize..8) {
-        let got = parallel_reduce(data.len(), threads, i64::MAX, |i| data[i], i64::min);
-        let want = data.iter().copied().min().unwrap_or(i64::MAX);
-        prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn chunks_cover_exactly(len in 0usize..10_000, workers in 0usize..20, sz in 0usize..64) {
-        for policy in [ChunkPolicy::PerWorker, ChunkPolicy::Fixed(sz), ChunkPolicy::OverSubscribe(sz)] {
-            let ranges = chunk_ranges(len, workers, policy);
-            let mut next = 0usize;
-            for r in &ranges {
-                prop_assert_eq!(r.start, next);
-                prop_assert!(r.end > r.start);
-                next = r.end;
+    fn fill_rows_equals_sequential(rows in 0usize..400, width in 0usize..5, threads in 0usize..12) {
+        let mut data = vec![0usize; rows * width];
+        let mut aux = vec![0usize; rows];
+        let timings = parallel_fill_rows(&mut data, &mut aux, width, threads, || (), |(), i, row, a| {
+            for (k, cell) in row.iter_mut().enumerate() {
+                *cell = i * width + k;
             }
-            prop_assert_eq!(next, len);
+            *a = i;
+        });
+        prop_assert!(data.iter().enumerate().all(|(j, &v)| v == j));
+        prop_assert!(aux.iter().enumerate().all(|(i, &v)| v == i));
+        prop_assert_eq!(timings.iter().map(|t| t.len).sum::<u64>(), rows as u64);
+        prop_assert!(timings.len() <= threads.max(1));
+    }
+
+    #[test]
+    fn map_timed_equals_sequential(len in 0usize..300, threads in 0usize..6) {
+        let (got, timings) = parallel_map_timed(len, threads, |i| i * 7);
+        let want: Vec<usize> = (0..len).map(|i| i * 7).collect();
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(timings.iter().map(|t| t.len).sum::<u64>(), len as u64);
+    }
+
+    #[test]
+    fn chunks_cover_exactly(rows in 0usize..2000, width in 0usize..3, threads in 0usize..20) {
+        let mut data = vec![0u8; rows * width];
+        let mut aux = vec![0u8; rows];
+        let chunks = Mutex::new(Vec::new());
+        let timings = parallel_fill_rows_chunked(&mut data, &mut aux, width, threads, || (), |(), base, chunk_data, chunk_aux| {
+            assert_eq!(chunk_data.len(), chunk_aux.len() * width);
+            chunks.lock().unwrap().push((base, chunk_aux.len()));
+        });
+        let mut chunks = chunks.into_inner().unwrap();
+        chunks.sort_unstable();
+        let mut next = 0usize;
+        for &(base, len) in &chunks {
+            prop_assert_eq!(base, next);
+            prop_assert!(len > 0 || rows == 0);
+            next += len;
+        }
+        prop_assert_eq!(next, rows);
+        prop_assert!(timings.len() <= threads.max(1));
+        if rows > 0 {
+            prop_assert_eq!(timings.len(), chunks.len());
         }
     }
 
     #[test]
-    fn pool_map_equals_sequential(len in 0usize..300, threads in 1usize..6) {
-        let pool = WorkerPool::new(threads);
-        let got = pool.map(len, Arc::new(|i| i * 7));
-        let want: Vec<usize> = (0..len).map(|i| i * 7).collect();
-        prop_assert_eq!(got, want);
+    fn fill_rows_chunked_equals_sequential(rows in 0usize..400, width in 1usize..4, threads in 0usize..12) {
+        let mut data = vec![0usize; rows * width];
+        let mut aux = vec![0usize; rows];
+        parallel_fill_rows_chunked(&mut data, &mut aux, width, threads, || (), |(), base, chunk_data, chunk_aux| {
+            for (k, cell) in chunk_data.iter_mut().enumerate() {
+                *cell = base * width + k;
+            }
+            for (k, a) in chunk_aux.iter_mut().enumerate() {
+                *a = base + k;
+            }
+        });
+        prop_assert!(data.iter().enumerate().all(|(j, &v)| v == j));
+        prop_assert!(aux.iter().enumerate().all(|(i, &v)| v == i));
     }
 }
